@@ -5,13 +5,19 @@ conjunctive IF-THEN rules fire with a min (or product) AND operator, and the
 crisp output is the firing-strength-weighted average of the constant rule
 consequents.  All types are frozen dataclasses; inference is a pure function,
 so a built system is safe to share across threads.
+
+A SugenoFis compiles its rule base once, at construction, into
+(input index, term index) clauses.  Inference fuzzifies each input once and
+fires the compiled rules in one kernel, which ``infer`` and
+``pipeline.surface_grid`` share, so a surface cell is bit-identical to
+pointwise inference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 
 class FisConfigError(ValueError):
@@ -114,7 +120,11 @@ class FuzzyVariable:
 
     def fuzzify(self, x: float) -> dict[str, float]:
         """Membership degree of x in every term."""
-        return {name: mf.degree(x) for name, mf in self.terms}
+        return dict(zip(self.term_names(), self.degrees(x)))
+
+    def degrees(self, x: float) -> list[float]:
+        """Membership degree of x in every term, in declaration order."""
+        return [mf.degree(x) for _, mf in self.terms]
 
 
 @dataclass(frozen=True)
@@ -152,7 +162,9 @@ class SugenoFis:
     """A complete zeroth-order Sugeno system: inputs, output domain and rules.
 
     Immutable after construction.  ``and_operator`` is "min" (default) or
-    "product".
+    "product".  Construction validates the rule base and compiles each rule
+    to ``(((input index, term index), ...), consequent)`` for the inference
+    kernel; ``dataclasses.replace`` builds, and so compiles, a new system.
     """
 
     inputs: tuple[FuzzyVariable, ...]
@@ -162,6 +174,9 @@ class SugenoFis:
     and_operator: str = "min"
 
     _vars: dict[str, FuzzyVariable] = field(init=False, repr=False, compare=False)
+    _compiled: tuple[tuple[tuple[tuple[int, int], ...], float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.and_operator not in ("min", "product"):
@@ -172,15 +187,19 @@ class SugenoFis:
         if not lo < hi:
             raise FisConfigError(f"output domain [{lo}, {hi}] is empty")
         by_name: dict[str, FuzzyVariable] = {}
-        for var in self.inputs:
+        positions: dict[str, int] = {}
+        for position, var in enumerate(self.inputs):
             if var.name in by_name or var.name == self.output_name:
                 raise FisConfigError(f"duplicate variable name {var.name!r}")
             by_name[var.name] = var
+            positions[var.name] = position
         object.__setattr__(self, "_vars", by_name)
 
         seen_antecedents = set()
+        compiled = []
         for rule in self.rules:
             clause_vars = set()
+            clauses = []
             for var_name, term_name in rule.antecedent:
                 if var_name in clause_vars:
                     raise FisConfigError(
@@ -191,6 +210,7 @@ class SugenoFis:
                 if var is None:
                     raise FisConfigError(f"rule references unknown variable {var_name!r}")
                 var.term(term_name)  # raises on unknown term
+                clauses.append((positions[var_name], var.term_names().index(term_name)))
             key = frozenset(rule.antecedent)
             if key in seen_antecedents:
                 raise FisConfigError(
@@ -201,6 +221,8 @@ class SugenoFis:
                 raise FisConfigError(
                     f"rule consequent {rule.consequent} outside output domain [{lo}, {hi}]"
                 )
+            compiled.append((tuple(clauses), rule.consequent))
+        object.__setattr__(self, "_compiled", tuple(compiled))
 
     def variable(self, name: str) -> FuzzyVariable:
         var = self._vars.get(name)
@@ -257,22 +279,42 @@ def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:
     if not fis.rules:
         raise FisConfigError("cannot infer with an empty rule base")
     fis.check_domain(values)
+    return _infer_degrees(fis, [var.degrees(values[var.name]) for var in fis.inputs])
 
+
+def _infer_degrees(fis: SugenoFis, degrees: Sequence[Sequence[float]]) -> InferenceResult:
+    """The inference kernel: fire the compiled rules on fuzzified inputs.
+
+    ``degrees[i][j]`` is the membership degree of input i in its term j.  The
+    caller has checked that the rule base is not empty and that the inputs lie
+    in their domains.  Each rule conjoins its clauses in order, from 1.0, and
+    stops at the first clause that brings its strength to 0.
+    """
+    use_min = fis.and_operator == "min"
     weights: list[float] = []
     contributions: list[float] = []
     fired = 0
     only_consequent = 0.0
     c_min = math.inf
     c_max = -math.inf
-    for rule in fis.rules:
-        w = firing_strength(fis, rule, values)
+    for clauses, consequent in fis._compiled:
+        w = 1.0
+        for var_index, term_index in clauses:
+            d = degrees[var_index][term_index]
+            if use_min:
+                if d < w:
+                    w = d
+            else:
+                w = w * d
+            if w == 0.0:
+                break
         if w > 0.0:
             fired += 1
-            only_consequent = rule.consequent
+            only_consequent = consequent
             weights.append(w)
-            contributions.append(w * rule.consequent)
-            c_min = min(c_min, rule.consequent)
-            c_max = max(c_max, rule.consequent)
+            contributions.append(w * consequent)
+            c_min = min(c_min, consequent)
+            c_max = max(c_max, consequent)
 
     if fired == 0:
         return InferenceResult(raw=0.0, fired_rule_count=0, total_strength=0.0)

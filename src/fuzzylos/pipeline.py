@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
-from .engine import OutOfDomainError, SugenoFis, infer
-from .regions import Classification, LosRegionModel, classify, oracle_label
+from .engine import FisConfigError, OutOfDomainError, SugenoFis, _infer_degrees
+from .regions import LosRegionModel, check_classification, classify, oracle_label
 
 CSV_HEADER = ("timestamp", "speed_kmh", "flow_vph")
 LABELED_CSV_HEADER = CSV_HEADER + ("los",)
@@ -258,10 +258,12 @@ def evaluate(
     the region oracle (``model`` may be None only if every row is labeled).
     Unlabeled points and anomalous predictions are excluded from the accuracy
     denominator; per-point domain errors go into the report, they never abort
-    the run.
+    the run.  A bad ``epsilon`` or a system without two inputs raises before
+    any point is scored.
     """
     if not data:
         raise ValueError("no data to evaluate")
+    check_classification(fis, epsilon)
     report = EvaluationReport(points=len(data))
     for index, m in enumerate(data):
         try:
@@ -290,18 +292,32 @@ def evaluate(
 
 def surface_grid(fis: SugenoFis, flow_steps: int, speed_steps: int):
     """Yield (flow, speed, InferenceResult) over an inclusive even grid,
-    flow-major."""
+    flow-major.
+
+    The grid is separable: each speed value and each flow row is fuzzified
+    once, and every cell goes through the kernel ``infer`` uses, so each cell
+    is bit-identical to pointwise inference.  The system must have exactly
+    two inputs, flow first.
+    """
     if flow_steps < 2 or speed_steps < 2:
         raise ValueError("surface export needs at least 2 steps per axis")
-    flow_var, speed_var = fis.inputs[0], fis.inputs[1]
+    if len(fis.inputs) != 2:
+        raise ValueError(f"surface export needs a two-input system, got {len(fis.inputs)}")
+    if not fis.rules:
+        raise FisConfigError("cannot infer with an empty rule base")
+    flow_var, speed_var = fis.inputs
     flo, fhi = flow_var.domain
     slo, shi = speed_var.domain
-    for i in range(flow_steps):
-        flow = flo + (fhi - flo) * i / (flow_steps - 1)
-        for j in range(speed_steps):
-            speed = slo + (shi - slo) * j / (speed_steps - 1)
-            result = infer(fis, {flow_var.name: flow, speed_var.name: speed})
-            yield flow, speed, result
+    flows = [flo + (fhi - flo) * i / (flow_steps - 1) for i in range(flow_steps)]
+    speeds = [slo + (shi - slo) * j / (speed_steps - 1) for j in range(speed_steps)]
+    # Axis values start at the domain minima and never decrease with the step
+    # index, so checking the far corner checks every cell.
+    fis.check_domain({flow_var.name: flows[-1], speed_var.name: speeds[-1]})
+    speed_degrees = [speed_var.degrees(speed) for speed in speeds]
+    for flow in flows:
+        flow_degrees = flow_var.degrees(flow)
+        for speed, degrees in zip(speeds, speed_degrees):
+            yield flow, speed, _infer_degrees(fis, (flow_degrees, degrees))
 
 
 def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
@@ -347,9 +363,3 @@ def label_csv(model: LosRegionModel, text: str) -> str:
         level = oracle_label(model, flow, speed)
         writer.writerow(record + ["-" if level is None else level])
     return out.getvalue()
-
-
-def classify_measurement(
-    fis: SugenoFis, m: Measurement, epsilon: float = 0.05
-) -> Classification:
-    return classify(fis, m.flow, m.speed, epsilon)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import InferenceResult, OutOfDomainError, SugenoFis, infer
 
@@ -58,13 +58,17 @@ class Rect:
 class LosRegionModel:
     """Disjoint (level, rectangle) pairs plus lane-count provenance.
 
-    The model's domain is the bounding envelope of its rectangles; a
-    rectangle edge that coincides with the envelope maximum is treated as
-    closed so envelope-boundary points stay labeled.
+    The model's domain is the bounding envelope of its rectangles, computed
+    once at construction as ``flow_domain`` and ``speed_domain``; a rectangle
+    edge that coincides with the envelope maximum is treated as closed so
+    envelope-boundary points stay labeled.
     """
 
     regions: tuple[tuple[int, Rect], ...]
     lanes: int = 1
+
+    flow_domain: tuple[float, float] = field(init=False, repr=False, compare=False)
+    speed_domain: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.regions:
@@ -81,19 +85,14 @@ class LosRegionModel:
                     raise RegionError(
                         f"rectangles for LoS {level_a} and LoS {level_b} overlap"
                     )
-
-    @property
-    def flow_domain(self) -> tuple[float, float]:
-        return (
-            min(r.flow_lo for _, r in self.regions),
-            max(r.flow_hi for _, r in self.regions),
+        rects = [r for _, r in self.regions]
+        object.__setattr__(
+            self, "flow_domain",
+            (min(r.flow_lo for r in rects), max(r.flow_hi for r in rects)),
         )
-
-    @property
-    def speed_domain(self) -> tuple[float, float]:
-        return (
-            min(r.speed_lo for _, r in self.regions),
-            max(r.speed_hi for _, r in self.regions),
+        object.__setattr__(
+            self, "speed_domain",
+            (min(r.speed_lo for r in rects), max(r.speed_hi for r in rects)),
         )
 
     def contains(self, flow: float, speed: float) -> bool:
@@ -207,6 +206,18 @@ def round_half_up(value: float) -> int:
     return math.floor(value + 0.5)
 
 
+def check_classification(fis: SugenoFis, epsilon: float) -> None:
+    """Raise unless ``fis`` and ``epsilon`` can classify (flow, speed) pairs:
+    ValueError for an epsilon outside [0, 0.5), OutOfDomainError for a system
+    without exactly two inputs."""
+    if not 0 <= epsilon < 0.5:
+        raise ValueError(f"epsilon must lie in [0, 0.5), got {epsilon}")
+    if len(fis.inputs) != 2:
+        raise OutOfDomainError(
+            f"LoS classification needs a two-input system, got {len(fis.inputs)}"
+        )
+
+
 def classify(fis: SugenoFis, flow: float, speed: float, epsilon: float = 0.05) -> Classification:
     """Classify one (flow, speed) pair through a two-input LoS system.
 
@@ -214,12 +225,7 @@ def classify(fis: SugenoFis, flow: float, speed: float, epsilon: float = 0.05) -
     speed.  Raw outputs round half up and clamp to [1, 6]; a zero-fired
     inference is an anomaly, never a level.
     """
-    if not 0 <= epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in [0, 0.5), got {epsilon}")
-    if len(fis.inputs) != 2:
-        raise OutOfDomainError(
-            f"LoS classification needs a two-input system, got {len(fis.inputs)}"
-        )
+    check_classification(fis, epsilon)
     flow_var, speed_var = fis.inputs
     result = infer(fis, {flow_var.name: flow, speed_var.name: speed})
     if result.fired_rule_count == 0:

@@ -62,9 +62,9 @@ def random_variable(rng: random.Random, name: str) -> FuzzyVariable:
     return FuzzyVariable(name=name, unit=unit, domain=(lo, hi), terms=terms)
 
 
-def random_fis(rng: random.Random, max_inputs: int = 3) -> SugenoFis:
+def random_fis(rng: random.Random, max_inputs: int = 3, min_inputs: int = 1) -> SugenoFis:
     inputs = tuple(
-        random_variable(rng, f"Var{i}") for i in range(rng.randint(1, max_inputs))
+        random_variable(rng, f"Var{i}") for i in range(rng.randint(min_inputs, max_inputs))
     )
     out_lo = round(rng.uniform(-10.0, 0.0), 3)
     out_hi = round(out_lo + rng.uniform(1.0, 20.0), 3)

@@ -7,6 +7,24 @@ from fuzzylos.cli import main
 
 HEADER = "timestamp,speed_kmh,flow_vph\n"
 
+ONE_INPUT_FIS = """\
+variable input TrafficFlow [veh/h] domain 0 6000
+  mf Low trap 0 0 1200 1600
+variable output LoS domain 0 6
+rule IF TrafficFlow IS Low THEN LoS = 1
+"""
+
+THREE_INPUT_FIS = """\
+variable input TrafficFlow [veh/h] domain 0 6000
+  mf Low trap 0 0 1200 1600
+variable input Speed [km/h] domain 0 80
+  mf High trap 41 47 59 65
+variable input Lanes domain 1 4
+  mf Few trap 1 1 2 3
+variable output LoS domain 0 6
+rule IF TrafficFlow IS Low AND Speed IS High AND Lanes IS Few THEN LoS = 1
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -118,6 +136,20 @@ class TestEvaluate:
         assert code == 2
         assert "synthetic" in err.lower() or "input" in err.lower()
 
+    def test_bad_epsilon_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "evaluate", "--synthetic", "50", "--epsilon", "0.7")
+        assert code == 2
+        assert "epsilon" in err
+        assert out == ""
+
+    def test_one_input_system_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "one.fis"
+        path.write_text(ONE_INPUT_FIS, encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--synthetic", "50", "--fis", str(path))
+        assert code == 2
+        assert "two-input" in err
+        assert out == ""
+
     def test_accuracy_is_data_not_failure(self, capsys, tmp_path):
         # grossly wrong labels still exit 0
         csv_path = tmp_path / "data.csv"
@@ -142,6 +174,15 @@ class TestSurface:
         code, _, err = run(capsys, "surface", "--steps", "1")
         assert code == 2
         assert "steps" in err
+
+    @pytest.mark.parametrize("text", [ONE_INPUT_FIS, THREE_INPUT_FIS], ids=["one", "three"])
+    def test_non_two_input_system_is_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "model.fis"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "surface", "--steps", "5", "--fis", str(path))
+        assert code == 2
+        assert "two-input system" in err
+        assert out == ""
 
 
 class TestGenrules:
