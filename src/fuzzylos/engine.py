@@ -77,6 +77,15 @@ def membership_degree(mf: TrapezoidMF, x: float) -> float:
     return mf.degree(x)
 
 
+def grid_value(lo: float, hi: float, steps: int, index: int) -> float:
+    """Sample ``index`` of the inclusive even grid of ``steps`` values over
+    [lo, hi]: ``lo + (hi - lo) * index / (steps - 1)``, except that the last
+    sample is ``hi`` itself, which the formula can round past."""
+    if index == steps - 1:
+        return hi
+    return lo + (hi - lo) * index / (steps - 1)
+
+
 @dataclass(frozen=True)
 class FuzzyVariable:
     """A named input with a closed domain and ordered linguistic terms.

@@ -15,8 +15,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from typing import Iterator
 
-from .engine import FisConfigError, OutOfDomainError, SugenoFis, _infer_degrees
+from .engine import FisConfigError, OutOfDomainError, SugenoFis, _infer_degrees, grid_value
 from .regions import LosRegionModel, check_classification, classify, oracle_label
 
 CSV_HEADER = ("timestamp", "speed_kmh", "flow_vph")
@@ -37,15 +38,6 @@ class Measurement:
     los: int | None = None
 
 
-def _parse_csv_line(raw: str, line: int) -> list[str]:
-    """One-line CSV parse that degrades to a ValueError instead of crashing
-    (the csv module refuses NUL bytes and stray newlines)."""
-    try:
-        return next(csv.reader([raw]))
-    except (csv.Error, StopIteration) as exc:
-        raise ValueError(f"line {line}: unparseable CSV ({exc})") from None
-
-
 def _parse_quantity(text: str, column: str, line: int) -> float:
     try:
         value = float(text)
@@ -58,43 +50,47 @@ def _parse_quantity(text: str, column: str, line: int) -> float:
     return value
 
 
-def ingest(text: str, strict: bool = False) -> tuple[list[Measurement], list[str]]:
-    """Parse measurement CSV, validating every row.
+_Quantities = tuple[float, float, int | None]
 
-    The header must be ``timestamp,speed_kmh,flow_vph`` with an optional
-    trailing ``los`` column of expert labels 1..6.  By default invalid rows
-    are collected into the returned error list (with line numbers) and the
-    valid rows are kept; with ``strict=True`` any invalid row raises
-    IngestError instead.  A missing or wrong header always raises.
+
+def _read_rows(text: str, labels: bool) -> Iterator[tuple[list[str], _Quantities | ValueError]]:
+    """Read measurement CSV through one ``csv.reader``, record by record.
+
+    A missing or wrong header raises IngestError; ``labels`` admits the
+    trailing ``los`` column.  Then, for each record that is not a blank or
+    whitespace-only line, yields its fields and either their validated
+    (speed, flow, los) or the ValueError that rejects them, whose message
+    names the record's first physical line (a quoted field may span
+    several).
     """
-    lines = text.splitlines()
-    if not lines:
-        raise IngestError("empty input: missing CSV header")
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = tuple(h.strip() for h in _parse_csv_line(lines[0], 1))
-    except ValueError as exc:
-        raise IngestError(str(exc)) from None
-    if header == CSV_HEADER:
-        labeled = False
-    elif header == LABELED_CSV_HEADER:
-        labeled = True
-    else:
+        header = tuple(h.strip() for h in next(reader))
+    except StopIteration:
+        raise IngestError("empty input: missing CSV header") from None
+    except csv.Error as exc:
+        raise IngestError(f"line 1: unparseable CSV ({exc})") from None
+    labeled = labels and header == LABELED_CSV_HEADER
+    if header != CSV_HEADER and not labeled:
         raise IngestError(
-            f"bad CSV header {','.join(header)!r}; expected "
-            f"{','.join(CSV_HEADER)!r} (optionally with a trailing 'los' column)"
+            f"bad CSV header {','.join(header)!r}; expected {','.join(CSV_HEADER)!r}"
+            + (" (optionally with a trailing 'los' column)" if labels else "")
         )
-
-    rows: list[Measurement] = []
-    errors: list[str] = []
-    expected = len(header)
-    for line, raw_line in enumerate(lines[1:], start=2):
-        if not raw_line.strip():
-            continue
+    while True:
+        line = reader.line_num + 1
         try:
-            record = _parse_csv_line(raw_line, line)
-            if len(record) != expected:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield [], ValueError(f"line {line}: unparseable CSV ({exc})")
+            continue
+        if len(record) < 2 and not "".join(record).strip():
+            continue  # a blank or whitespace-only line
+        try:
+            if len(record) != len(header):
                 raise ValueError(
-                    f"line {line}: expected {expected} fields, got {len(record)}"
+                    f"line {line}: expected {len(header)} fields, got {len(record)}"
                 )
             speed = _parse_quantity(record[1].strip(), "speed_kmh", line)
             flow = _parse_quantity(record[2].strip(), "flow_vph", line)
@@ -105,11 +101,31 @@ def ingest(text: str, strict: bool = False) -> tuple[list[Measurement], list[str
                     los = int(los_text)
                 elif los_text not in {"-", ""}:
                     raise ValueError(f"line {line}: los must be 1..6 or '-', got {los_text!r}")
-            rows.append(Measurement(record[0].strip(), speed, flow, los))
+            row: _Quantities | ValueError = (speed, flow, los)
         except ValueError as exc:
-            if strict:
-                raise IngestError(str(exc)) from None
-            errors.append(str(exc))
+            row = exc
+        yield record, row
+
+
+def ingest(text: str, strict: bool = False) -> tuple[list[Measurement], list[str]]:
+    """Parse measurement CSV, validating every row.
+
+    The header must be ``timestamp,speed_kmh,flow_vph`` with an optional
+    trailing ``los`` column of expert labels 1..6.  Quoted fields may hold
+    commas, quotes and newlines.  By default invalid rows are collected into
+    the returned error list (with line numbers) and the valid rows are kept;
+    with ``strict=True`` any invalid row raises IngestError instead.  A
+    missing or wrong header always raises.
+    """
+    rows: list[Measurement] = []
+    errors: list[str] = []
+    for record, row in _read_rows(text, labels=True):
+        if isinstance(row, tuple):
+            rows.append(Measurement(record[0].strip(), *row))
+        elif strict:
+            raise IngestError(str(row))
+        else:
+            errors.append(str(row))
     return rows, errors
 
 
@@ -292,7 +308,7 @@ def evaluate(
 
 def surface_grid(fis: SugenoFis, flow_steps: int, speed_steps: int):
     """Yield (flow, speed, InferenceResult) over an inclusive even grid,
-    flow-major.
+    flow-major, whose last values are the domain maxima themselves.
 
     The grid is separable: each speed value and each flow row is fuzzified
     once, and every cell goes through the kernel ``infer`` uses, so each cell
@@ -308,11 +324,8 @@ def surface_grid(fis: SugenoFis, flow_steps: int, speed_steps: int):
     flow_var, speed_var = fis.inputs
     flo, fhi = flow_var.domain
     slo, shi = speed_var.domain
-    flows = [flo + (fhi - flo) * i / (flow_steps - 1) for i in range(flow_steps)]
-    speeds = [slo + (shi - slo) * j / (speed_steps - 1) for j in range(speed_steps)]
-    # Axis values start at the domain minima and never decrease with the step
-    # index, so checking the far corner checks every cell.
-    fis.check_domain({flow_var.name: flows[-1], speed_var.name: speeds[-1]})
+    flows = [grid_value(flo, fhi, flow_steps, i) for i in range(flow_steps)]
+    speeds = [grid_value(slo, shi, speed_steps, j) for j in range(speed_steps)]
     speed_degrees = [speed_var.degrees(speed) for speed in speeds]
     for flow in flows:
         flow_degrees = flow_var.degrees(flow)
@@ -335,31 +348,17 @@ def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
 def label_csv(model: LosRegionModel, text: str) -> str:
     """Append an oracle ``los`` column to measurement CSV (all-or-nothing).
 
-    Original field text is preserved; unlabeled rows get ``-``.  Any invalid
-    row rejects the whole input.
+    Rows are read as ``ingest`` reads them; original field text is
+    preserved and unlabeled rows get ``-``.  Any invalid row rejects the
+    whole input with IngestError.
     """
-    lines = text.splitlines()
-    if not lines:
-        raise IngestError("empty input: missing CSV header")
-    try:
-        header = tuple(h.strip() for h in _parse_csv_line(lines[0], 1))
-    except ValueError as exc:
-        raise IngestError(str(exc)) from None
-    if header != CSV_HEADER:
-        raise IngestError(
-            f"bad CSV header {','.join(header)!r}; expected {','.join(CSV_HEADER)!r}"
-        )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(LABELED_CSV_HEADER)
-    for line, raw_line in enumerate(lines[1:], start=2):
-        if not raw_line.strip():
-            continue
-        record = _parse_csv_line(raw_line, line)
-        if len(record) != 3:
-            raise IngestError(f"line {line}: expected 3 fields, got {len(record)}")
-        speed = _parse_quantity(record[1].strip(), "speed_kmh", line)
-        flow = _parse_quantity(record[2].strip(), "flow_vph", line)
+    for record, row in _read_rows(text, labels=False):
+        if not isinstance(row, tuple):
+            raise IngestError(str(row))
+        speed, flow, _ = row
         level = oracle_label(model, flow, speed)
         writer.writerow(record + ["-" if level is None else level])
     return out.getvalue()

@@ -1,20 +1,24 @@
 """Construct a rule base for a two-input LoS system from a region model.
 
-For every (flow term, speed term) pair the generator samples a grid over the
-pair's half-cut core, the sub-rectangle where both membership degrees are at
-least 0.5, and asks the region oracle for the level at each sample.  Pairs
-with no labeled sample produce no rule and stay anomaly zones; pairs whose
-labeled samples agree on one level (up to the agreement threshold) produce a
-rule with that level as the constant consequent; anything worse is a hard
-conflict, the sign of membership functions that do not fit the regions.
+For every (flow term, speed term) pair the generator takes an even grid of
+samples over the pair's half-cut core, the sub-rectangle where both
+membership degrees are at least 0.5, and counts the samples each region
+rectangle labels: a product of per-axis counts, since rectangles are
+disjoint products of half-open intervals.  Pairs with no labeled sample
+produce no rule and stay anomaly zones; pairs whose labeled samples agree on
+one level (up to the agreement threshold) produce a rule with that level as
+the constant consequent; anything worse is a hard conflict, the sign of
+membership functions that do not fit the regions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import partial
 
-from .engine import FuzzyVariable, Rule, TrapezoidMF
-from .regions import LosRegionModel, oracle_label
+from .engine import FuzzyVariable, Rule, TrapezoidMF, grid_value
+from .regions import LosRegionModel
 
 
 class RuleConflictError(ValueError):
@@ -36,10 +40,22 @@ def half_cut(mf: TrapezoidMF) -> tuple[float, float]:
     return ((mf.a + mf.b) / 2.0, (mf.c + mf.d) / 2.0)
 
 
-def _grid(lo: float, hi: float, steps: int) -> list[float]:
-    if steps < 2 or lo == hi:
-        return [lo]
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+def _axis_counts(
+    mf: TrapezoidMF, intervals: list[tuple[float, float]], envelope_hi: float, grid: int
+) -> list[int]:
+    """Per [lo, hi) interval, how many of the term's ``grid`` core samples it
+    holds, found by binary search; an interval ending on the envelope
+    maximum is closed, as in ``oracle_label``.  A point core is one sample."""
+    core_lo, core_hi = half_cut(mf)
+    if core_lo == core_hi:
+        return [int(lo <= core_lo < hi or core_lo == hi == envelope_hi) for lo, hi in intervals]
+    samples = range(grid)
+    key = partial(grid_value, core_lo, core_hi, grid)
+    return [
+        (bisect_right if hi == envelope_hi else bisect_left)(samples, hi, key=key)
+        - bisect_left(samples, lo, key=key)
+        for lo, hi in intervals
+    ]
 
 
 def generate_rules(
@@ -52,7 +68,9 @@ def generate_rules(
     """Derive one rule per coherent (flow term, speed term) pair.
 
     ``grid`` is the number of sample points per axis across each pair's core;
-    the core endpoints are always sampled.  ``agreement`` must lie in
+    the core endpoints are always sampled, and a point core is one sample.
+    The level counts equal asking the region oracle at every sample, but
+    take O(terms * rectangles * log grid) time.  ``agreement`` must lie in
     (0.5, 1]: the majority level must account for at least that fraction of
     the labeled samples, otherwise RuleConflictError names the pair.
 
@@ -64,19 +82,21 @@ def generate_rules(
     if grid < 2:
         raise ValueError(f"grid resolution must be at least 2, got {grid}")
 
+    levels = [level for level, _ in model.regions]
+    flow_intervals = [(rect.flow_lo, rect.flow_hi) for _, rect in model.regions]
+    speed_intervals = [(rect.speed_lo, rect.speed_hi) for _, rect in model.regions]
+    speed_counts = [
+        _axis_counts(mf, speed_intervals, model.speed_domain[1], grid)
+        for _, mf in speed_var.terms
+    ]
     rules: list[Rule] = []
     for flow_term, flow_mf in flow_var.terms:
-        flow_samples = _grid(*half_cut(flow_mf), grid)
-        for speed_term, speed_mf in speed_var.terms:
-            speed_samples = _grid(*half_cut(speed_mf), grid)
+        flow_counts = _axis_counts(flow_mf, flow_intervals, model.flow_domain[1], grid)
+        for (speed_term, _), speed_count in zip(speed_var.terms, speed_counts):
             counts: Counter[int] = Counter()
-            for flow in flow_samples:
-                for speed in speed_samples:
-                    if not model.contains(flow, speed):
-                        continue
-                    level = oracle_label(model, flow, speed)
-                    if level is not None:
-                        counts[level] += 1
+            for level, n_flow, n_speed in zip(levels, flow_counts, speed_count):
+                if n_flow and n_speed:
+                    counts[level] += n_flow * n_speed
             if not counts:
                 continue
             level, majority = counts.most_common(1)[0]

@@ -1,11 +1,23 @@
-"""Shared test machinery: random system generation and an independent
-brute-force Sugeno evaluator used as the oracle for the engine."""
+"""Shared test machinery: random system generation, an independent
+brute-force Sugeno evaluator used as the oracle for the engine, and a
+sample-by-sample rule generator used as the oracle for ``generate_rules``."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from fuzzylos import FuzzyVariable, Rule, SugenoFis, TrapezoidMF
+from fuzzylos import (
+    FuzzyVariable,
+    LosRegionModel,
+    Rule,
+    RuleConflictError,
+    SugenoFis,
+    TrapezoidMF,
+    half_cut,
+    oracle_label,
+)
+from fuzzylos.engine import grid_value
 
 
 def brute_force_raw(fis: SugenoFis, values: dict[str, float]) -> tuple[float, int]:
@@ -93,3 +105,44 @@ def random_fis(rng: random.Random, max_inputs: int = 3, min_inputs: int = 1) -> 
 
 def random_point(rng: random.Random, fis: SugenoFis) -> dict[str, float]:
     return {var.name: rng.uniform(*var.domain) for var in fis.inputs}
+
+
+def sampled_rules(
+    model: LosRegionModel,
+    flow_var: FuzzyVariable,
+    speed_var: FuzzyVariable,
+    grid: int,
+    agreement: float,
+) -> tuple[Rule, ...]:
+    """Rule generation by definition: ask the region oracle for the level of
+    every sample of each term pair's core grid, one sample at a time."""
+
+    def samples(mf: TrapezoidMF) -> list[float]:
+        lo, hi = half_cut(mf)
+        if lo == hi:
+            return [lo]
+        return [grid_value(lo, hi, grid, i) for i in range(grid)]
+
+    rules = []
+    for flow_term, flow_mf in flow_var.terms:
+        for speed_term, speed_mf in speed_var.terms:
+            counts: Counter[int] = Counter()
+            for flow in samples(flow_mf):
+                for speed in samples(speed_mf):
+                    if not model.contains(flow, speed):
+                        continue
+                    level = oracle_label(model, flow, speed)
+                    if level is not None:
+                        counts[level] += 1
+            if not counts:
+                continue
+            level, majority = counts.most_common(1)[0]
+            if majority < agreement * sum(counts.values()):
+                raise RuleConflictError(flow_term, speed_term, counts, agreement)
+            rules.append(
+                Rule(
+                    antecedent=((flow_var.name, flow_term), (speed_var.name, speed_term)),
+                    consequent=float(level),
+                )
+            )
+    return tuple(rules)

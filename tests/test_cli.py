@@ -25,6 +25,15 @@ variable output LoS domain 0 6
 rule IF TrafficFlow IS Low AND Speed IS High AND Lanes IS Few THEN LoS = 1
 """
 
+NARROW_DOMAIN_FIS = """\
+variable input A domain -0.1 0.2
+  mf All trap -0.1 -0.1 0.2 0.2
+variable input B domain 0 1
+  mf All trap 0 0 1 1
+variable output Out domain 0 6
+rule IF A IS All AND B IS All THEN Out = 1
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -175,6 +184,15 @@ class TestSurface:
         assert code == 2
         assert "steps" in err
 
+    def test_last_row_is_the_domain_maximum(self, capsys, tmp_path):
+        # -0.1 + (0.2 - -0.1) * 4 / 4 rounds to 0.20000000000000004
+        path = tmp_path / "narrow.fis"
+        path.write_text(NARROW_DOMAIN_FIS, encoding="utf-8")
+        code, out, err = run(capsys, "surface", "--steps", "5", "--fis", str(path))
+        assert code == 0, err
+        flow, speed, _ = out.splitlines()[-1].split(",")
+        assert (flow, speed) == ("0.2", "1.0")
+
     @pytest.mark.parametrize("text", [ONE_INPUT_FIS, THREE_INPUT_FIS], ids=["one", "three"])
     def test_non_two_input_system_is_exit_2(self, capsys, tmp_path, text):
         path = tmp_path / "model.fis"
@@ -204,6 +222,11 @@ class TestGenrules:
         code, _, err = run(capsys, "genrules", "--agreement", "1.0")
         assert code == 2
         assert "(Middle, Middle)" in err or "(Middle," in err
+
+    def test_huge_grid_gives_the_shipped_rules(self, capsys):
+        code, out, _ = run(capsys, "genrules", "--grid", "100000000")
+        assert code == 0
+        assert fz.parse_fis(out).rules == fz.default_fis().rules
 
     def test_works_from_ruleless_fis(self, capsys, tmp_path):
         base = fz.default_fis()

@@ -64,6 +64,12 @@ class TestIngest:
         with pytest.raises(IngestError):
             ingest(HEADER + "t0,62.0,1200\nt1,-5,800\n", strict=True)
 
+    def test_quoted_newline_stays_inside_its_row(self):
+        text = HEADER + '"a\nb",10,20\nt1,-5,800\n'
+        rows, errors = ingest(text)
+        assert rows == [Measurement("a\nb", 10.0, 20.0)]
+        assert errors == ["line 4: speed_kmh must be non-negative, got '-5'"]
+
     def test_labeled_column(self):
         text = "timestamp,speed_kmh,flow_vph,los\nt0,62.0,1200,1\nt1,30,5500,-\n"
         rows, errors = ingest(text)
@@ -301,4 +307,8 @@ class TestLabelCsv:
 
     def test_invalid_rows_reject_everything(self, default_model):
         with pytest.raises(ValueError):
+            label_csv(default_model, HEADER + "t0,62.0,1200\nt1,oops,600\n")
+
+    def test_bad_number_is_an_ingest_error(self, default_model):
+        with pytest.raises(IngestError, match="line 3: speed_kmh 'oops' is not a number"):
             label_csv(default_model, HEADER + "t0,62.0,1200\nt1,oops,600\n")

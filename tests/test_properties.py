@@ -1,13 +1,18 @@
-"""Property tests of the compiled inference kernel, over random systems.
+"""Property tests over random systems and region models.
 
 Systems come from ``helpers.random_fis`` seeded by hypothesis, and each one
 is run under both AND operators.  ``infer`` must agree with the independent
 brute-force evaluator, and every cell of a random two-input surface, which
 reaches the kernel without going through ``infer``, must be bit-identical to
-pointwise inference.
+pointwise inference.  ``ingest`` must read back exactly what ``csv.writer``
+wrote.  ``generate_rules``, which counts core samples per axis,
+must give the rules or the conflict that asking the region oracle at every
+sample gives.
 """
 
+import csv
 import dataclasses
+import io
 import random
 import struct
 
@@ -16,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzylos as fz
-from helpers import brute_force_raw, random_fis
+from helpers import brute_force_raw, random_fis, sampled_rules
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -44,11 +49,6 @@ def coordinate(var: fz.FuzzyVariable):
     )
 
 
-def last_grid_value(var: fz.FuzzyVariable, steps: int) -> float:
-    lo, hi = var.domain
-    return lo + (hi - lo) * (steps - 1) / (steps - 1)
-
-
 @PROPERTY_SETTINGS
 @given(seed=seeds, operator=operators, data=st.data())
 def test_infer_matches_brute_force(seed, operator, data):
@@ -70,21 +70,106 @@ def test_infer_matches_brute_force(seed, operator, data):
 def test_surface_cells_are_bit_identical_to_infer(seed, operator, flow_steps, speed_steps):
     fis = system(seed, operator, min_inputs=2, max_inputs=2)
     flow_name, speed_name = (var.name for var in fis.inputs)
-    try:
-        cells = list(fz.surface_grid(fis, flow_steps, speed_steps))
-    except fz.OutOfDomainError:
-        # The grid's far corner rounded past a domain maximum; pointwise
-        # inference must refuse that cell too.
-        far_corner = {
-            flow_name: last_grid_value(fis.inputs[0], flow_steps),
-            speed_name: last_grid_value(fis.inputs[1], speed_steps),
-        }
-        with pytest.raises(fz.OutOfDomainError):
-            fz.infer(fis, far_corner)
-        return
+    cells = list(fz.surface_grid(fis, flow_steps, speed_steps))
     assert len(cells) == flow_steps * speed_steps
     for flow, speed, result in cells:
         expected = fz.infer(fis, {flow_name: flow, speed_name: speed})
         assert result == expected
         assert bits(result.raw) == bits(expected.raw)
 
+
+# Small integers make core samples land exactly on rectangle edges and on
+# the envelope maximum; arbitrary floats cover everything in between.
+integers = st.sampled_from([float(k) for k in range(13)])
+positions = st.one_of(integers, integers, st.floats(min_value=0.0, max_value=12.0))
+
+
+@st.composite
+def region_models(draw):
+    """Random cells of a random axis partition, each with a random level."""
+    flow_cuts = sorted(draw(st.sets(positions, min_size=2, max_size=5)))
+    speed_cuts = sorted(draw(st.sets(positions, min_size=2, max_size=5)))
+    cells = [(i, j) for i in range(len(flow_cuts) - 1) for j in range(len(speed_cuts) - 1)]
+    levels = draw(
+        st.lists(
+            st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+            min_size=len(cells),
+            max_size=len(cells),
+        ).filter(any)
+    )
+    return fz.LosRegionModel(
+        regions=tuple(
+            (level, fz.Rect(flow_cuts[i], flow_cuts[i + 1], speed_cuts[j], speed_cuts[j + 1]))
+            for (i, j), level in zip(cells, levels)
+            if level is not None
+        )
+    )
+
+
+def trapezoids(breakpoints: int):
+    """Trapezoids over distinct sorted positions: four breakpoints, or two
+    as the core of a trapezoid with vertical sides."""
+    return st.lists(positions, min_size=breakpoints, max_size=breakpoints, unique=True).map(
+        lambda p: fz.TrapezoidMF(*sorted(p * (4 // breakpoints)))
+    )
+
+
+terms = st.one_of(trapezoids(4), trapezoids(2), positions.map(lambda x: fz.TrapezoidMF(x, x, x, x)))
+
+
+def variables(name: str):
+    return st.lists(terms, min_size=1, max_size=4).map(
+        lambda mfs: fz.FuzzyVariable(
+            name, "", (0.0, 12.0), tuple((f"T{i}", mf) for i, mf in enumerate(mfs))
+        )
+    )
+
+
+@PROPERTY_SETTINGS
+@given(
+    model=region_models(),
+    flow_var=variables("Flow"),
+    speed_var=variables("Speed"),
+    grid=st.integers(min_value=2, max_value=40),
+    agreement=st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+)
+def test_generate_rules_matches_per_sample_oracle(model, flow_var, speed_var, grid, agreement):
+    try:
+        expected = sampled_rules(model, flow_var, speed_var, grid, agreement)
+    except fz.RuleConflictError as conflict:
+        with pytest.raises(fz.RuleConflictError) as info:
+            fz.generate_rules(model, flow_var, speed_var, grid, agreement)
+        got = info.value
+        assert (got.flow_term, got.speed_term, got.counts) == (
+            conflict.flow_term, conflict.speed_term, conflict.counts,
+        )
+        return
+    assert fz.generate_rules(model, flow_var, speed_var, grid, agreement) == expected
+
+
+timestamps = st.text(
+    st.one_of(st.sampled_from(',"\n\r'), st.characters(exclude_categories=("Cs",)))
+).filter(lambda text: text == text.strip())
+quantities = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY_SETTINGS
+@given(
+    labeled=st.booleans(),
+    rows=st.lists(
+        st.tuples(timestamps, quantities, quantities, st.one_of(st.none(), st.integers(1, 6)))
+    ),
+)
+def test_ingest_reads_back_what_csv_writer_wrote(labeled, rows):
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(fz.pipeline.LABELED_CSV_HEADER if labeled else fz.pipeline.CSV_HEADER)
+    expected = []
+    for timestamp, speed, flow, los in rows:
+        los = los if labeled else None
+        fields = [timestamp, repr(speed), repr(flow)]
+        if labeled:
+            fields.append("-" if los is None else str(los))
+        writer.writerow(fields)
+        expected.append(fz.Measurement(timestamp, speed, flow, los))
+    assert fz.ingest(out.getvalue()) == (expected, [])
