@@ -84,8 +84,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     fis = _load_fis_arg(args)
     model = _load_regions_arg(args)
     if args.synthetic is not None:
-        if args.synthetic <= 0:
-            raise ValueError("--synthetic needs a positive sample count")
         data = generate_synthetic(model, args.synthetic, args.seed)
     elif args.input:
         rows, row_errors = ingest(_read_text(args.input))
@@ -94,8 +92,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         data = rows
     else:
         raise ValueError("give an input CSV or --synthetic N")
-    if not data:
-        raise ValueError("no data")
     report = evaluate(fis, model, data, args.epsilon)
     _emit(report.render(), args.out)
     if args.out:
@@ -106,8 +102,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_surface(args: argparse.Namespace) -> int:
     fis = _load_fis_arg(args)
-    if args.steps < 2:
-        raise ValueError("--steps must be at least 2")
     _emit(export_surface(fis, args.steps, args.steps), args.out)
     return 0
 

@@ -14,8 +14,11 @@ THEN are upper case, and identifiers are case sensitive::
 Numbers are plain decimals (optional sign and fraction, no exponents).
 Output variables declare a domain but no membership functions: zeroth-order
 consequents are bare constants.  ``parse`` reports the first syntax error
-with its 1-based line and column; building a ``SugenoFis`` from the parsed
-document then collects every name-resolution and invariant violation at once.
+with its 1-based line and column.  ``build_fis`` then reports every
+violation the engine's constructors find, each at the line and column of
+the declaration, rule or clause it concerns, in two rounds: first the
+declarations (the output count, every ``mf`` line, every input variable);
+once those are valid, the system (variable names, output domain, rules).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .engine import FisConfigError, FuzzyVariable, Rule, SugenoFis, TrapezoidMF
+from .engine import FisConfigError, FuzzyVariable, Location, Rule, SugenoFis, TrapezoidMF
 
 
 class ParseError(ValueError):
@@ -229,141 +232,97 @@ def parse(source: str) -> FisDocument:
 
 
 def build_fis(doc: FisDocument) -> SugenoFis:
-    """Resolve and validate a document, returning the inference system.
+    """Build the system a document describes, or raise FisValidationError
+    with every violation found, each at its line and column, in line order.
 
-    Unlike ``parse`` this collects *all* violations and raises them together
-    as FisValidationError.
+    The engine's constructors check the invariants.  This function checks
+    only what they cannot see (the number of output declarations, ``mf``
+    lines under an output, each rule's ``THEN`` name) and maps the location
+    of each problem they report to the declaration, rule or clause it names.
+    Declarations come first: every ``mf`` line becomes a TrapezoidMF, and
+    every input a FuzzyVariable of the terms that passed.  Only when every
+    declaration is valid is the SugenoFis built, which checks the rules
+    together with the distinct variable names and the non-empty output
+    domain, so an invalid variable never makes the clauses that name it
+    look unknown.
     """
     errors: list[ParseError] = []
-
-    inputs: list[VarDecl] = [v for v in doc.variables if v.kind == "input"]
-    outputs: list[VarDecl] = [v for v in doc.variables if v.kind == "output"]
-    seen_names: set[str] = set()
-    for decl in doc.variables:
-        if decl.name in seen_names:
-            errors.append(
-                ParseError(decl.line, decl.column, f"duplicate variable {decl.name!r}", decl.name)
-            )
-        seen_names.add(decl.name)
+    outputs = [decl for decl in doc.variables if decl.kind == "output"]
     if not outputs:
         errors.append(ParseError(1, 1, "no output variable declared"))
     elif len(outputs) > 1:
         extra = outputs[1]
-        errors.append(
-            ParseError(extra.line, extra.column, "more than one output variable", extra.name)
-        )
-    if not inputs:
-        errors.append(ParseError(1, 1, "no input variable declared"))
+        errors.append(ParseError(extra.line, extra.column, "more than one output variable"))
     for decl in outputs:
         if decl.mfs:
             mf = decl.mfs[0]
             errors.append(
-                ParseError(mf.line, mf.column, "output variables take no membership functions", mf.term)
+                ParseError(mf.line, mf.column, "output variables take no membership functions")
             )
 
-    variables: dict[str, FuzzyVariable] = {}
-    for decl in inputs:
-        terms = []
-        term_names = set()
-        ok = True
-        for mf in decl.mfs:
-            if mf.term in term_names:
-                errors.append(
-                    ParseError(mf.line, mf.column, f"duplicate term {mf.term!r} in {decl.name!r}", mf.term)
-                )
-                ok = False
-                continue
-            term_names.add(mf.term)
-            terms.append((mf.term, mf))
-        if not ok:
+    inputs: list[tuple[VarDecl, FuzzyVariable]] = []
+    for decl in doc.variables:
+        if decl.kind != "input":
             continue
+        terms: list[tuple[MfDecl, TrapezoidMF]] = []
+        for mf in decl.mfs:
+            try:
+                terms.append((mf, TrapezoidMF(*mf.points)))
+            except FisConfigError as exc:
+                errors += _located(exc, {}, mf)
         try:
-            variables[decl.name] = FuzzyVariable(
+            var = FuzzyVariable(
                 name=decl.name,
                 unit=decl.unit,
                 domain=(decl.lo, decl.hi),
-                terms=tuple((name, TrapezoidMF(*mf.points)) for name, mf in terms),
+                terms=tuple((mf.term, trapezoid) for mf, trapezoid in terms),
             )
         except FisConfigError as exc:
-            bad = terms[0][1] if terms else decl
-            errors.append(ParseError(bad.line, bad.column, str(exc)))
-
-    output = outputs[0] if outputs else None
-    rules: list[Rule] = []
-    seen_antecedents: dict[frozenset, RuleStmt] = {}
-    for stmt in doc.rules:
-        ok = True
-        clause_vars: set[str] = set()
-        for clause in stmt.clauses:
-            if clause.variable in clause_vars:
-                errors.append(
-                    ParseError(clause.line, clause.column,
-                               f"duplicate clause for variable {clause.variable!r}", clause.variable)
-                )
-                ok = False
-                continue
-            clause_vars.add(clause.variable)
-            var = variables.get(clause.variable)
-            if var is None:
-                errors.append(
-                    ParseError(clause.line, clause.column,
-                               f"unknown input variable {clause.variable!r}", clause.variable)
-                )
-                ok = False
-            else:
-                try:
-                    var.term(clause.term)
-                except FisConfigError:
-                    errors.append(
-                        ParseError(clause.line, clause.column,
-                                   f"variable {clause.variable!r} has no term {clause.term!r}",
-                                   clause.term)
-                    )
-                    ok = False
-        if output is not None:
-            if stmt.output != output.name:
-                errors.append(
-                    ParseError(stmt.line, stmt.column,
-                               f"rule assigns {stmt.output!r}, the output variable is {output.name!r}",
-                               stmt.output)
-                )
-                ok = False
-            elif not output.lo <= stmt.consequent <= output.hi:
-                errors.append(
-                    ParseError(stmt.line, stmt.column,
-                               f"consequent {_format_number(stmt.consequent)} outside output domain "
-                               f"[{_format_number(output.lo)}, {_format_number(output.hi)}]")
-                )
-                ok = False
-        key = frozenset((c.variable, c.term) for c in stmt.clauses)
-        if key in seen_antecedents:
-            first = seen_antecedents[key]
-            errors.append(
-                ParseError(stmt.line, stmt.column,
-                           f"rule repeats the antecedent of line {first.line}")
-            )
-            ok = False
+            errors += _located(exc, {("terms", j): mf for j, (mf, _) in enumerate(terms)}, decl)
         else:
-            seen_antecedents[key] = stmt
-        if ok:
-            rules.append(
-                Rule(
-                    antecedent=tuple((c.variable, c.term) for c in stmt.clauses),
-                    consequent=stmt.consequent,
-                )
-            )
-
+            inputs.append((decl, var))
     if errors:
-        raise FisValidationError(errors)
+        raise FisValidationError(sorted(errors, key=lambda e: e.line))
 
-    assert output is not None
-    return SugenoFis(
-        inputs=tuple(variables[decl.name] for decl in inputs),
-        output_name=output.name,
-        output_domain=(output.lo, output.hi),
-        rules=tuple(rules),
-        and_operator=doc.and_operator,
-    )
+    output = outputs[0]
+    for stmt in doc.rules:
+        if stmt.output != output.name:
+            errors.append(ParseError(
+                stmt.line, stmt.column,
+                f"rule assigns {stmt.output!r}, the output variable is {output.name!r}",
+            ))
+    try:
+        fis = SugenoFis(
+            inputs=tuple(var for _, var in inputs),
+            output_name=output.name,
+            output_domain=(output.lo, output.hi),
+            rules=tuple(
+                Rule(tuple((c.variable, c.term) for c in stmt.clauses), stmt.consequent)
+                for stmt in doc.rules
+            ),
+            and_operator=doc.and_operator,
+        )
+    except FisConfigError as exc:
+        nodes: dict[Location, object] = {("output_name",): output, ("output_domain",): output}
+        nodes.update({("inputs", i): decl for i, (decl, _) in enumerate(inputs)})
+        for k, stmt in enumerate(doc.rules):
+            nodes[("rules", k)] = stmt
+            nodes.update({("rules", k, c): clause for c, clause in enumerate(stmt.clauses)})
+        errors += _located(exc, nodes, None)
+    if errors:
+        raise FisValidationError(sorted(errors, key=lambda e: e.line))
+    return fis
+
+
+def _located(exc: FisConfigError, nodes: dict, default) -> list[ParseError]:
+    """Position each of the engine's problems at the node its location
+    names, else at ``default``, else at line 1, column 1."""
+    errors = []
+    for location, message in exc.problems:
+        node = nodes.get(location, default)
+        line, column = (node.line, node.column) if node is not None else (1, 1)
+        errors.append(ParseError(line, column, message))
+    return errors
 
 
 def parse_fis(source: str) -> SugenoFis:

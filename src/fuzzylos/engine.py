@@ -20,8 +20,25 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 
+Location = tuple[str | int, ...]  # a path into a constructor's arguments
+
+
 class FisConfigError(ValueError):
-    """An inference system (or one of its parts) violates a structural invariant."""
+    """An inference system, or one of its parts, violates structural invariants.
+
+    ``problems`` holds every violation the constructor found, each a
+    ``(location, message)`` pair.  The location is a path into the
+    constructor's arguments: ``("terms", j)`` and ``("domain",)`` for a
+    FuzzyVariable; ``("inputs", i)``, ``("inputs",)``, ``("output_name",)``,
+    ``("output_domain",)``, ``("rules", k)`` and ``("rules", k, c)`` (clause
+    c of rule k) for a SugenoFis; ``()`` for the object as a whole, which is
+    where ``FisConfigError(message)`` puts its single problem.  ``str()``
+    joins the messages.
+    """
+
+    def __init__(self, message: str = "", problems: Sequence[tuple[Location, str]] = ()):
+        self.problems: tuple[tuple[Location, str], ...] = tuple(problems) or (((), message),)
+        super().__init__("; ".join(text for _, text in self.problems))
 
 
 class OutOfDomainError(ValueError):
@@ -91,7 +108,9 @@ class FuzzyVariable:
     """A named input with a closed domain and ordered linguistic terms.
 
     Term supports must lie inside the domain but need not cover it: the
-    uncovered zones are exactly where no rule can fire.
+    uncovered zones are exactly where no rule can fire.  Construction raises
+    one FisConfigError with every violation; supports are checked only
+    against a non-empty domain.
     """
 
     name: str
@@ -100,19 +119,23 @@ class FuzzyVariable:
     terms: tuple[tuple[str, TrapezoidMF], ...]
 
     def __post_init__(self) -> None:
+        problems: list[tuple[Location, str]] = []
         lo, hi = self.domain
         if not lo < hi:
-            raise FisConfigError(f"variable {self.name!r}: domain [{lo}, {hi}] is empty")
+            problems.append((("domain",), f"variable {self.name!r}: domain [{lo}, {hi}] is empty"))
         seen = set()
-        for term_name, mf in self.terms:
+        for j, (term_name, mf) in enumerate(self.terms):
             if term_name in seen:
-                raise FisConfigError(f"variable {self.name!r}: duplicate term {term_name!r}")
+                problems.append((("terms", j), f"duplicate term {term_name!r} in {self.name!r}"))
             seen.add(term_name)
-            if mf.a < lo or mf.d > hi:
-                raise FisConfigError(
+            if lo < hi and (mf.a < lo or mf.d > hi):
+                problems.append((
+                    ("terms", j),
                     f"variable {self.name!r}: term {term_name!r} support "
-                    f"[{mf.a}, {mf.d}] exceeds domain [{lo}, {hi}]"
-                )
+                    f"[{mf.a}, {mf.d}] exceeds domain [{lo}, {hi}]",
+                ))
+        if problems:
+            raise FisConfigError(problems=problems)
 
     def term(self, name: str) -> TrapezoidMF:
         for term_name, mf in self.terms:
@@ -171,9 +194,11 @@ class SugenoFis:
     """A complete zeroth-order Sugeno system: inputs, output domain and rules.
 
     Immutable after construction.  ``and_operator`` is "min" (default) or
-    "product".  Construction validates the rule base and compiles each rule
-    to ``(((input index, term index), ...), consequent)`` for the inference
-    kernel; ``dataclasses.replace`` builds, and so compiles, a new system.
+    "product".  Construction raises one FisConfigError with every violation
+    it finds (a consequent is checked only against a non-empty output domain)
+    and compiles each rule to ``(((input index, term index), ...),
+    consequent)`` for the inference kernel; ``dataclasses.replace`` builds,
+    and so compiles, a new system.
     """
 
     inputs: tuple[FuzzyVariable, ...]
@@ -188,49 +213,53 @@ class SugenoFis:
     )
 
     def __post_init__(self) -> None:
+        problems: list[tuple[Location, str]] = []
         if self.and_operator not in ("min", "product"):
-            raise FisConfigError(f"unknown AND operator {self.and_operator!r}")
+            problems.append((("and_operator",), f"unknown AND operator {self.and_operator!r}"))
         if not self.inputs:
-            raise FisConfigError("an inference system needs at least one input variable")
+            problems.append((("inputs",), "no input variable declared"))
         lo, hi = self.output_domain
         if not lo < hi:
-            raise FisConfigError(f"output domain [{lo}, {hi}] is empty")
+            problems.append((("output_domain",), f"output domain [{lo}, {hi}] is empty"))
         by_name: dict[str, FuzzyVariable] = {}
-        positions: dict[str, int] = {}
+        slots: dict[str, tuple[int, dict[str, int]]] = {}  # name -> (position, term indices)
         for position, var in enumerate(self.inputs):
-            if var.name in by_name or var.name == self.output_name:
-                raise FisConfigError(f"duplicate variable name {var.name!r}")
+            if var.name in by_name:
+                problems.append((("inputs", position), f"duplicate variable {var.name!r}"))
             by_name[var.name] = var
-            positions[var.name] = position
+            slots[var.name] = (position, {term: j for j, term in enumerate(var.term_names())})
+        if self.output_name in by_name:
+            problems.append((("output_name",), f"duplicate variable {self.output_name!r}"))
         object.__setattr__(self, "_vars", by_name)
 
-        seen_antecedents = set()
+        first_rule: dict[frozenset, int] = {}
         compiled = []
-        for rule in self.rules:
+        for k, rule in enumerate(self.rules):
             clause_vars = set()
             clauses = []
-            for var_name, term_name in rule.antecedent:
+            for c, (var_name, term_name) in enumerate(rule.antecedent):
+                where = ("rules", k, c)
+                position, term_index = slots.get(var_name, (None, {}))
                 if var_name in clause_vars:
-                    raise FisConfigError(
-                        f"rule has two clauses for variable {var_name!r}"
-                    )
+                    problems.append((where, f"duplicate clause for variable {var_name!r}"))
+                elif position is None:
+                    problems.append((where, f"unknown input variable {var_name!r}"))
+                elif term_name not in term_index:
+                    problems.append((where, f"variable {var_name!r} has no term {term_name!r}"))
+                else:
+                    clauses.append((position, term_index[term_name]))
                 clause_vars.add(var_name)
-                var = by_name.get(var_name)
-                if var is None:
-                    raise FisConfigError(f"rule references unknown variable {var_name!r}")
-                var.term(term_name)  # raises on unknown term
-                clauses.append((positions[var_name], var.term_names().index(term_name)))
-            key = frozenset(rule.antecedent)
-            if key in seen_antecedents:
-                raise FisConfigError(
-                    f"two rules share the antecedent {sorted(rule.antecedent)}"
-                )
-            seen_antecedents.add(key)
-            if not lo <= rule.consequent <= hi:
-                raise FisConfigError(
-                    f"rule consequent {rule.consequent} outside output domain [{lo}, {hi}]"
-                )
+            if lo < hi and not lo <= rule.consequent <= hi:
+                problems.append((
+                    ("rules", k),
+                    f"consequent {rule.consequent} outside output domain [{lo}, {hi}]",
+                ))
+            first = first_rule.setdefault(frozenset(rule.antecedent), k)
+            if first != k:
+                problems.append((("rules", k), f"rule repeats the antecedent of rule {first + 1}"))
             compiled.append((tuple(clauses), rule.consequent))
+        if problems:
+            raise FisConfigError(problems=problems)
         object.__setattr__(self, "_compiled", tuple(compiled))
 
     def variable(self, name: str) -> FuzzyVariable:

@@ -354,11 +354,15 @@ def label_csv(model: LosRegionModel, text: str) -> str:
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    # A "\n" terminator makes csv.writer quote "\n" but not a bare "\r",
+    # which readers take for a line break, so such a row is quoted whole.
+    quoting_writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(LABELED_CSV_HEADER)
     for record, row in _read_rows(text, labels=False):
         if not isinstance(row, tuple):
             raise IngestError(str(row))
         speed, flow, _ = row
         level = oracle_label(model, flow, speed)
-        writer.writerow(record + ["-" if level is None else level])
+        row_writer = quoting_writer if any("\r" in field for field in record) else writer
+        row_writer.writerow(record + ["-" if level is None else level])
     return out.getvalue()

@@ -169,10 +169,7 @@ def parse_regions(source: str) -> LosRegionModel:
                 raise RegionError(f"line {number}: {exc}") from None
         else:
             raise RegionError(f"line {number}: unknown statement {tokens[0]!r}")
-    try:
-        return LosRegionModel(regions=tuple(regions), lanes=lanes)
-    except RegionError as exc:
-        raise RegionError(str(exc)) from None
+    return LosRegionModel(regions=tuple(regions), lanes=lanes)
 
 
 def load_regions(path) -> LosRegionModel:

@@ -177,3 +177,66 @@ def test_fuzz_never_crashes():
             assert exc.line >= 1 and exc.column >= 1
         except FisValidationError as exc:
             assert exc.errors
+
+
+def validation_errors(source):
+    with pytest.raises(FisValidationError) as info:
+        build_fis(parse(source))
+    return info.value.errors
+
+
+def test_each_bad_trapezoid_is_reported_on_its_own_line():
+    source = """\
+variable input A domain 0 10
+  mf a trap 0 1 2 3
+  mf b trap 1 2 3 4
+  mf c trap 5 4 3 2
+  mf d trap 9 8 7 6
+variable output O domain 0 5
+rule IF A IS a THEN O = 1
+"""
+    errors = validation_errors(source)
+    assert [(e.line, e.column) for e in errors] == [(4, 6), (5, 6)]
+    assert all("breakpoints" in e.message for e in errors)
+
+
+@pytest.mark.parametrize("first", ["mf a trap 0 1 2 3", "mf a trap 3 2 1 0"])
+def test_support_outside_the_domain_is_reported_on_its_mf(first):
+    source = f"""\
+variable input A domain 0 10
+  {first}
+  mf b trap 8 9 10 11
+variable output O domain 0 5
+"""
+    errors = validation_errors(source)
+    support = [e for e in errors if "exceeds domain" in e.message]
+    assert [(e.line, e.column) for e in support] == [(3, 6)]
+    assert "'b'" in support[0].message
+
+
+@pytest.mark.parametrize("rules", ["", "rule IF A IS a THEN O = 1\nrule IF A IS b THEN O = 5\n"])
+def test_empty_output_domain_is_reported_at_the_output(rules):
+    source = """\
+variable input A domain 0 10
+  mf a trap 0 1 2 3
+  mf b trap 1 2 3 4
+variable output O domain 5 1
+""" + rules
+    (error,) = validation_errors(source)
+    assert "output domain" in error.message and "is empty" in error.message
+    assert (error.line, error.column) == (4, 17)
+
+
+def test_an_invalid_variable_adds_no_unknown_variable_errors():
+    source = """\
+variable input A domain 10 0
+  mf a trap 0 1 2 3
+variable input B domain 0 10
+  mf b trap 3 2 1 0
+variable output O domain 0 5
+rule IF A IS a AND B IS b THEN O = 1
+rule IF A IS nope THEN O = 9
+"""
+    errors = validation_errors(source)
+    assert [(e.line, e.column) for e in errors] == [(1, 16), (4, 6)]
+    assert not any("unknown input variable" in e.message for e in errors)

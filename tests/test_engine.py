@@ -147,6 +147,52 @@ def test_fis_validation_rejects_bad_rules():
         two_input_fis(rules=(Rule((("Ghost", "lo"),), 1.0),))
 
 
+def test_fis_validation_reports_every_problem_at_its_location():
+    fis = two_input_fis()
+    with pytest.raises(FisConfigError) as info:
+        SugenoFis(
+            inputs=fis.inputs + (fis.inputs[0],),
+            output_name="Speed",
+            output_domain=(0.0, 6.0),
+            rules=(
+                Rule((("Flow", "lo"), ("Flow", "hi"), ("Ghost", "lo"), ("Speed", "warp")), 7.0),
+                Rule((("Flow", "lo"),), 1.0),
+                Rule((("Flow", "lo"),), 2.0),
+            ),
+        )
+    assert [location for location, _ in info.value.problems] == [
+        ("inputs", 2), ("output_name",), ("rules", 0, 1), ("rules", 0, 2), ("rules", 0, 3),
+        ("rules", 0), ("rules", 2),
+    ]
+    assert info.value.problems[-1][1] == "rule repeats the antecedent of rule 2"
+    assert str(info.value) == "; ".join(message for _, message in info.value.problems)
+
+
+def test_an_empty_output_domain_hides_consequent_problems():
+    fis = two_input_fis()
+    with pytest.raises(FisConfigError) as info:
+        SugenoFis(fis.inputs, "Out", (6.0, 0.0), fis.rules)
+    assert [location for location, _ in info.value.problems] == [("output_domain",)]
+
+
+def test_variable_validation_reports_every_problem_at_its_location():
+    mf = TrapezoidMF(0, 1, 2, 3)
+    with pytest.raises(FisConfigError) as info:
+        FuzzyVariable("v", "", (0.0, 2.5), (("a", mf), ("b", TrapezoidMF(0, 0, 1, 1)), ("a", mf)))
+    assert [location for location, _ in info.value.problems] == [
+        ("terms", 0), ("terms", 2), ("terms", 2),
+    ]
+    with pytest.raises(FisConfigError) as info:
+        FuzzyVariable("v", "", (5.0, 5.0), (("a", mf),))
+    assert [location for location, _ in info.value.problems] == [("domain",)]
+
+
+def test_a_plain_config_error_is_one_problem_of_the_whole():
+    error = FisConfigError("no good")
+    assert error.problems == (((), "no good"),)
+    assert str(error) == "no good"
+
+
 def test_rule_order_never_changes_result():
     rng = random.Random(7)
     for _ in range(25):

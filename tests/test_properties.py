@@ -5,9 +5,11 @@ is run under both AND operators.  ``infer`` must agree with the independent
 brute-force evaluator, and every cell of a random two-input surface, which
 reaches the kernel without going through ``infer``, must be bit-identical to
 pointwise inference.  ``ingest`` must read back exactly what ``csv.writer``
-wrote.  ``generate_rules``, which counts core samples per axis,
-must give the rules or the conflict that asking the region oracle at every
-sample gives.
+wrote, and what ``label_csv`` wrote from it.  ``generate_rules``, which
+counts core samples per axis, must give the rules or the conflict that
+asking the region oracle at every sample gives.  ``build_fis`` must turn
+any parseable ``.fis`` text into a system or into positioned errors, and
+nothing else.
 """
 
 import csv
@@ -15,6 +17,7 @@ import dataclasses
 import io
 import random
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +154,13 @@ timestamps = st.text(
     st.one_of(st.sampled_from(',"\n\r'), st.characters(exclude_categories=("Cs",)))
 ).filter(lambda text: text == text.strip())
 quantities = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+# Labels every finite non-negative (flow, speed), but flow < 3000 at speed >= 50 with "-".
+ANY_QUANTITY_MODEL = fz.LosRegionModel(
+    regions=(
+        (1, fz.Rect(0.0, 3000.0, 0.0, 50.0)),
+        (2, fz.Rect(3000.0, sys.float_info.max, 0.0, sys.float_info.max)),
+    )
+)
 
 
 @PROPERTY_SETTINGS
@@ -173,3 +183,73 @@ def test_ingest_reads_back_what_csv_writer_wrote(labeled, rows):
         writer.writerow(fields)
         expected.append(fz.Measurement(timestamp, speed, flow, los))
     assert fz.ingest(out.getvalue()) == (expected, [])
+    if not labeled:
+        relabeled = [
+            dataclasses.replace(m, los=fz.oracle_label(ANY_QUANTITY_MODEL, m.flow, m.speed))
+            for m in expected
+        ]
+        assert fz.ingest(fz.label_csv(ANY_QUANTITY_MODEL, out.getvalue())) == (relabeled, [])
+
+
+FIS_FAULTS = ("counts", "names", "input", "output", "terms", "breakpoints", "rules", "consequents")
+fis_numbers = st.sampled_from(["0", "1", "2", "5", "10"])
+
+
+@st.composite
+def fis_texts(draw):
+    """Parseable ``.fis`` texts over small name pools.  A drawn set of fault
+    kinds decides which choices may go wrong: 0 or 2 outputs or no input,
+    clashing variable or term names, empty and reversed domains, unordered
+    breakpoints, supports outside the domain [0, 10], unknown names or a
+    repeated variable in a rule, and consequents outside the output range."""
+    faults = draw(st.sets(st.sampled_from(FIS_FAULTS), max_size=2))
+
+    def pick(fault, valid, *invalid):
+        return draw(st.sampled_from((valid,) + invalid)) if fault in faults else valid
+
+    def declare(kind, name, term_count):
+        name = pick("names", name, "A", "B", "O")
+        lines = [f"variable {kind} {name} domain {pick(kind, '0 10', '5 1', '5 5')}"]
+        for term in "tuv"[:term_count]:
+            points = sorted(draw(st.lists(fis_numbers, min_size=4, max_size=4)), key=float)
+            points = pick(
+                "breakpoints", points, points[::-1], ["-1"] + points[1:], points[:3] + ["11"]
+            )
+            lines.append(f"  mf {pick('terms', term, 't')} trap {' '.join(points)}")
+        return lines
+
+    outputs = pick("counts", 1, 0, 2)
+    inputs = pick("counts", 2, 1, 0 if outputs else 1)
+    term_counts = {name: draw(st.integers(1, 3)) for name in "AB"[:inputs]}
+    declarations = [declare("input", name, count) for name, count in term_counts.items()]
+    declarations += [declare("output", "O", pick("terms", 0, 1)) for _ in range(outputs)]
+    lines = [line for decl in draw(st.permutations(declarations)) for line in decl]
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if term_counts else 0):
+        names = draw(
+            st.lists(st.sampled_from(sorted(term_counts)), min_size=1, max_size=2, unique=True)
+        )
+        clauses = []
+        for name in names:
+            term = draw(st.sampled_from("tuv"[: term_counts[name]]))
+            clauses.append(f"{pick('rules', name, 'C', names[0])} IS {pick('rules', term, 'z')}")
+        consequent = pick("consequents", draw(fis_numbers), "-1", "11")
+        output = pick("rules", "O", "A")
+        lines.append(f"rule IF {' AND '.join(clauses)} THEN {output} = {consequent}")
+    return "\n".join(lines) + "\n"
+
+
+@PROPERTY_SETTINGS
+@given(text=fis_texts())
+def test_build_fis_returns_a_system_or_positioned_errors(text):
+    lines = text.splitlines()
+    doc = fz.parse(text)
+    # also the rule-free skeleton of the document, which genrules builds
+    for document in (doc, dataclasses.replace(doc, rules=[])):
+        try:
+            fz.build_fis(document)
+        except fz.FisValidationError as exc:
+            assert exc.errors
+            for error in exc.errors:
+                line = lines[error.line - 1]
+                assert error.line == 1 or line.split()[0] in {"variable", "mf", "rule"}
+                assert 1 <= error.column <= len(line)
