@@ -27,9 +27,7 @@ from .engine import (
     Rule,
     SugenoFis,
     TrapezoidMF,
-    firing_strength,
     infer,
-    membership_degree,
 )
 from .pipeline import (
     EvaluationReport,
@@ -108,7 +106,6 @@ __all__ = [
     "default_regions_text",
     "evaluate",
     "export_surface",
-    "firing_strength",
     "generate_rules",
     "generate_synthetic",
     "half_cut",
@@ -117,7 +114,6 @@ __all__ = [
     "label_csv",
     "load_fis",
     "load_regions",
-    "membership_degree",
     "oracle_label",
     "parse",
     "parse_fis",

@@ -8,9 +8,9 @@ so a built system is safe to share across threads.
 
 A SugenoFis compiles its rule base once, at construction, into
 (input index, term index) clauses.  Inference fuzzifies each input once and
-fires the compiled rules in one kernel, which ``infer`` and
-``pipeline.surface_grid`` share, so a surface cell is bit-identical to
-pointwise inference.
+fires the compiled rules in one kernel, the only code that evaluates a rule,
+which ``infer`` and ``pipeline.surface_grid`` share, so a surface cell is
+bit-identical to pointwise inference.
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ class TrapezoidMF:
         return self.degree(x) > 0.0
 
 
-def membership_degree(mf: TrapezoidMF, x: float) -> float:
-    return mf.degree(x)
-
-
 def grid_value(lo: float, hi: float, steps: int, index: int) -> float:
     """Sample ``index`` of the inclusive even grid of ``steps`` values over
     [lo, hi]: ``lo + (hi - lo) * index / (steps - 1)``, except that the last
@@ -136,12 +132,6 @@ class FuzzyVariable:
                 ))
         if problems:
             raise FisConfigError(problems=problems)
-
-    def term(self, name: str) -> TrapezoidMF:
-        for term_name, mf in self.terms:
-            if term_name == name:
-                return mf
-        raise FisConfigError(f"variable {self.name!r} has no term {name!r}")
 
     def term_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
@@ -198,7 +188,8 @@ class SugenoFis:
     it finds (a consequent is checked only against a non-empty output domain)
     and compiles each rule to ``(((input index, term index), ...),
     consequent)`` for the inference kernel; ``dataclasses.replace`` builds,
-    and so compiles, a new system.
+    and so compiles, a new system.  A system without rules is valid (rule
+    generation starts from one), but inference on it raises.
     """
 
     inputs: tuple[FuzzyVariable, ...]
@@ -207,7 +198,6 @@ class SugenoFis:
     rules: tuple[Rule, ...]
     and_operator: str = "min"
 
-    _vars: dict[str, FuzzyVariable] = field(init=False, repr=False, compare=False)
     _compiled: tuple[tuple[tuple[tuple[int, int], ...], float], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -230,7 +220,6 @@ class SugenoFis:
             slots[var.name] = (position, {term: j for j, term in enumerate(var.term_names())})
         if self.output_name in by_name:
             problems.append((("output_name",), f"duplicate variable {self.output_name!r}"))
-        object.__setattr__(self, "_vars", by_name)
 
         first_rule: dict[frozenset, int] = {}
         compiled = []
@@ -262,12 +251,6 @@ class SugenoFis:
             raise FisConfigError(problems=problems)
         object.__setattr__(self, "_compiled", tuple(compiled))
 
-    def variable(self, name: str) -> FuzzyVariable:
-        var = self._vars.get(name)
-        if var is None:
-            raise FisConfigError(f"unknown variable {name!r}")
-        return var
-
     def check_domain(self, values: Mapping[str, float]) -> None:
         for var in self.inputs:
             if var.name not in values:
@@ -280,42 +263,19 @@ class SugenoFis:
                 )
 
 
-def firing_strength(fis: SugenoFis, rule: Rule, values: Mapping[str, float]) -> float:
-    """Conjunction of the rule's clause membership degrees for the given input.
-
-    An empty antecedent yields 1.  Unknown variable or term names raise
-    FisConfigError.
-    """
-    strength = 1.0
-    for var_name, term_name in rule.antecedent:
-        var = fis.variable(var_name)
-        if var_name not in values:
-            raise OutOfDomainError(f"no value supplied for variable {var_name!r}")
-        degree = var.term(term_name).degree(values[var_name])
-        if fis.and_operator == "min":
-            strength = min(strength, degree)
-        else:
-            strength = strength * degree
-        if strength == 0.0:
-            return 0.0
-    return strength
-
-
 def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:
     """Run Sugeno inference for one crisp input assignment.
 
     raw = sum(w_i * c_i) / sum(w_i) over the rules with positive firing
     strength.  When no rule fires the result is raw = 0 with a zero rule
     count, the anomaly encoding.  Out-of-domain inputs raise OutOfDomainError
-    rather than being clamped, and an empty rule base raises FisConfigError.
+    rather than being clamped; then an empty rule base raises FisConfigError.
 
     The result is independent of rule order: the sums are accumulated with
     math.fsum, which returns the correctly rounded sum regardless of operand
     order, and the weighted average is clamped into the exact consequent range
     of the fired rules to keep float rounding from leaking outside it.
     """
-    if not fis.rules:
-        raise FisConfigError("cannot infer with an empty rule base")
     fis.check_domain(values)
     return _infer_degrees(fis, [var.degrees(values[var.name]) for var in fis.inputs])
 
@@ -324,9 +284,10 @@ def _infer_degrees(fis: SugenoFis, degrees: Sequence[Sequence[float]]) -> Infere
     """The inference kernel: fire the compiled rules on fuzzified inputs.
 
     ``degrees[i][j]`` is the membership degree of input i in its term j.  The
-    caller has checked that the rule base is not empty and that the inputs lie
-    in their domains.  Each rule conjoins its clauses in order, from 1.0, and
-    stops at the first clause that brings its strength to 0.
+    caller has checked that the inputs lie in their domains.  Each rule
+    conjoins its clauses in order, from 1.0, and stops at the first clause
+    that brings its strength to 0.  An empty rule base fires nothing, so it is
+    checked, and raises FisConfigError, only when no rule fired.
     """
     use_min = fis.and_operator == "min"
     weights: list[float] = []
@@ -355,6 +316,8 @@ def _infer_degrees(fis: SugenoFis, degrees: Sequence[Sequence[float]]) -> Infere
             c_max = max(c_max, consequent)
 
     if fired == 0:
+        if not fis._compiled:
+            raise FisConfigError("cannot infer with an empty rule base")
         return InferenceResult(raw=0.0, fired_rule_count=0, total_strength=0.0)
 
     total = math.fsum(weights)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Iterator
 
-from .engine import FisConfigError, OutOfDomainError, SugenoFis, _infer_degrees, grid_value
+from .engine import OutOfDomainError, SugenoFis, _infer_degrees, grid_value
 from .regions import LosRegionModel, check_classification, classify, oracle_label
 
 CSV_HEADER = ("timestamp", "speed_kmh", "flow_vph")
@@ -53,15 +53,17 @@ def _parse_quantity(text: str, column: str, line: int) -> float:
 _Quantities = tuple[float, float, int | None]
 
 
-def _read_rows(text: str, labels: bool) -> Iterator[tuple[list[str], _Quantities | ValueError]]:
+def _read_rows(
+    text: str, labels: bool
+) -> Iterator[tuple[int, list[str], _Quantities | ValueError]]:
     """Read measurement CSV through one ``csv.reader``, record by record.
 
     A missing or wrong header raises IngestError; ``labels`` admits the
     trailing ``los`` column.  Then, for each record that is not a blank or
-    whitespace-only line, yields its fields and either their validated
+    whitespace-only line, yields the record's first physical line (a quoted
+    field may span several), its fields and either their validated
     (speed, flow, los) or the ValueError that rejects them, whose message
-    names the record's first physical line (a quoted field may span
-    several).
+    names that line.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -83,7 +85,7 @@ def _read_rows(text: str, labels: bool) -> Iterator[tuple[list[str], _Quantities
         except StopIteration:
             return
         except csv.Error as exc:
-            yield [], ValueError(f"line {line}: unparseable CSV ({exc})")
+            yield line, [], ValueError(f"line {line}: unparseable CSV ({exc})")
             continue
         if len(record) < 2 and not "".join(record).strip():
             continue  # a blank or whitespace-only line
@@ -104,7 +106,7 @@ def _read_rows(text: str, labels: bool) -> Iterator[tuple[list[str], _Quantities
             row: _Quantities | ValueError = (speed, flow, los)
         except ValueError as exc:
             row = exc
-        yield record, row
+        yield line, record, row
 
 
 def ingest(text: str, strict: bool = False) -> tuple[list[Measurement], list[str]]:
@@ -119,7 +121,7 @@ def ingest(text: str, strict: bool = False) -> tuple[list[Measurement], list[str
     """
     rows: list[Measurement] = []
     errors: list[str] = []
-    for record, row in _read_rows(text, labels=True):
+    for _, record, row in _read_rows(text, labels=True):
         if isinstance(row, tuple):
             rows.append(Measurement(record[0].strip(), *row))
         elif strict:
@@ -273,9 +275,11 @@ def evaluate(
     Ground truth is each measurement's ``los`` label when present, otherwise
     the region oracle (``model`` may be None only if every row is labeled).
     Unlabeled points and anomalous predictions are excluded from the accuracy
-    denominator; per-point domain errors go into the report, they never abort
-    the run.  A bad ``epsilon`` or a system without two inputs raises before
-    any point is scored.
+    denominator.  A point outside the system's or the model's domain is the
+    only per-point error: it goes into the report and never aborts the run.
+    A bad ``epsilon`` or a system without two inputs raises before any point
+    is scored; any other error, such as an empty rule base, raises from the
+    first point that reaches it.
     """
     if not data:
         raise ValueError("no data to evaluate")
@@ -287,7 +291,7 @@ def evaluate(
             if truth is None and model is not None:
                 truth = oracle_label(model, m.flow, m.speed)
             prediction = classify(fis, m.flow, m.speed, epsilon)
-        except (OutOfDomainError, ValueError) as exc:
+        except OutOfDomainError as exc:
             report.errors.append(f"point {index} ({m.timestamp}): {exc}")
             continue
         if prediction.boundary:
@@ -319,8 +323,6 @@ def surface_grid(fis: SugenoFis, flow_steps: int, speed_steps: int):
         raise ValueError("surface export needs at least 2 steps per axis")
     if len(fis.inputs) != 2:
         raise ValueError(f"surface export needs a two-input system, got {len(fis.inputs)}")
-    if not fis.rules:
-        raise FisConfigError("cannot infer with an empty rule base")
     flow_var, speed_var = fis.inputs
     flo, fhi = flow_var.domain
     slo, shi = speed_var.domain
@@ -349,8 +351,9 @@ def label_csv(model: LosRegionModel, text: str) -> str:
     """Append an oracle ``los`` column to measurement CSV (all-or-nothing).
 
     Rows are read as ``ingest`` reads them; original field text is
-    preserved and unlabeled rows get ``-``.  Any invalid row rejects the
-    whole input with IngestError.
+    preserved and unlabeled rows get ``-``.  Any invalid row, or any row
+    outside the model's envelope, rejects the whole input with an IngestError
+    that names its line.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -358,11 +361,14 @@ def label_csv(model: LosRegionModel, text: str) -> str:
     # which readers take for a line break, so such a row is quoted whole.
     quoting_writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(LABELED_CSV_HEADER)
-    for record, row in _read_rows(text, labels=False):
+    for line, record, row in _read_rows(text, labels=False):
         if not isinstance(row, tuple):
             raise IngestError(str(row))
         speed, flow, _ = row
-        level = oracle_label(model, flow, speed)
+        try:
+            level = oracle_label(model, flow, speed)
+        except OutOfDomainError as exc:
+            raise IngestError(f"line {line}: {exc}") from None
         row_writer = quoting_writer if any("\r" in field for field in record) else writer
         row_writer.writerow(record + ["-" if level is None else level])
     return out.getvalue()

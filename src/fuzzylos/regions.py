@@ -31,7 +31,8 @@ class RegionError(ValueError):
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle [flow_lo, flow_hi) x [speed_lo, speed_hi)."""
+    """Axis-aligned rectangle [flow_lo, flow_hi) x [speed_lo, speed_hi)
+    with finite bounds."""
 
     flow_lo: float
     flow_hi: float
@@ -39,6 +40,12 @@ class Rect:
     speed_hi: float
 
     def __post_init__(self) -> None:
+        bounds = (self.flow_lo, self.flow_hi, self.speed_lo, self.speed_hi)
+        if not all(math.isfinite(bound) for bound in bounds):
+            raise RegionError(
+                f"rectangle bounds must be finite, got flow [{self.flow_lo}, "
+                f"{self.flow_hi}] speed [{self.speed_lo}, {self.speed_hi}]"
+            )
         if not (self.flow_lo < self.flow_hi and self.speed_lo < self.speed_hi):
             raise RegionError(
                 f"degenerate rectangle flow [{self.flow_lo}, {self.flow_hi}] "

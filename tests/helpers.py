@@ -20,36 +20,39 @@ from fuzzylos import (
 from fuzzylos.engine import grid_value
 
 
+def _trapezoid(a, b, c, d, x):
+    if x < a or x > d:
+        return 0.0
+    if b <= x <= c:
+        return 1.0
+    if x < b:
+        return (x - a) / (b - a)
+    return (d - x) / (d - c)
+
+
+def rule_strength(fis: SugenoFis, rule: Rule, values: dict[str, float]) -> float:
+    """Naive firing strength of one rule: every clause's degree recomputed
+    from its trapezoid, conjoined left to right, no early exit."""
+    mfs = {var.name: dict(var.terms) for var in fis.inputs}
+    strength = 1.0
+    for var_name, term_name in rule.antecedent:
+        mf = mfs[var_name][term_name]
+        degree = _trapezoid(mf.a, mf.b, mf.c, mf.d, values[var_name])
+        if fis.and_operator == "product":
+            strength *= degree
+        else:
+            strength = degree if degree < strength else strength
+    return strength
+
+
 def brute_force_raw(fis: SugenoFis, values: dict[str, float]) -> tuple[float, int]:
     """Naive re-implementation of Sugeno inference: recompute every degree,
     plain left-to-right sums, no shortcuts.  Returns (raw, fired count)."""
-
-    def trapezoid(a, b, c, d, x):
-        if x < a or x > d:
-            return 0.0
-        if b <= x <= c:
-            return 1.0
-        if x < b:
-            return (x - a) / (b - a)
-        return (d - x) / (d - c)
-
-    mfs = {
-        (var.name, term_name): mf
-        for var in fis.inputs
-        for term_name, mf in var.terms
-    }
     numerator = 0.0
     denominator = 0.0
     fired = 0
     for rule in fis.rules:
-        strength = 1.0
-        for var_name, term_name in rule.antecedent:
-            mf = mfs[(var_name, term_name)]
-            degree = trapezoid(mf.a, mf.b, mf.c, mf.d, values[var_name])
-            if fis.and_operator == "product":
-                strength *= degree
-            else:
-                strength = degree if degree < strength else strength
+        strength = rule_strength(fis, rule, values)
         if strength > 0.0:
             fired += 1
             numerator += strength * rule.consequent

@@ -25,6 +25,14 @@ variable output LoS domain 0 6
 rule IF TrafficFlow IS Low AND Speed IS High AND Lanes IS Few THEN LoS = 1
 """
 
+RULE_FREE_FIS = """\
+variable input TrafficFlow [veh/h] domain 0 6000
+  mf Low trap 0 0 1200 1600
+variable input Speed [km/h] domain 0 80
+  mf High trap 41 47 59 65
+variable output LoS domain 0 6
+"""
+
 NARROW_DOMAIN_FIS = """\
 variable input A domain -0.1 0.2
   mf All trap -0.1 -0.1 0.2 0.2
@@ -109,6 +117,15 @@ class TestLabel:
         assert "line 3" in err
         assert not out_path.exists()
 
+    def test_row_outside_the_envelope_names_its_line(self, capsys, tmp_path):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(HEADER + "t1,62.0,1200\nt2,62.0,7000\n", encoding="utf-8")
+        out_path = tmp_path / "labeled.csv"
+        code, _, err = run(capsys, "label", str(csv_path), "--out", str(out_path))
+        assert code == 2
+        assert "line 3: point (flow=7000.0, speed=62.0) outside model domain" in err
+        assert not out_path.exists()
+
 
 class TestEvaluate:
     def test_synthetic_run_meets_accuracy_band(self, capsys, tmp_path):
@@ -159,6 +176,14 @@ class TestEvaluate:
         assert "two-input" in err
         assert out == ""
 
+    def test_rule_free_system_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "skeleton.fis"
+        path.write_text(RULE_FREE_FIS, encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--synthetic", "5", "--fis", str(path))
+        assert code == 2
+        assert "empty rule base" in err
+        assert out == ""
+
     def test_accuracy_is_data_not_failure(self, capsys, tmp_path):
         # grossly wrong labels still exit 0
         csv_path = tmp_path / "data.csv"
@@ -200,6 +225,15 @@ class TestSurface:
         code, out, err = run(capsys, "surface", "--steps", "5", "--fis", str(path))
         assert code == 2
         assert "two-input system" in err
+        assert out == ""
+
+
+    def test_rule_free_system_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "skeleton.fis"
+        path.write_text(RULE_FREE_FIS, encoding="utf-8")
+        code, out, err = run(capsys, "surface", "--steps", "3", "--fis", str(path))
+        assert code == 2
+        assert "empty rule base" in err
         assert out == ""
 
 

@@ -144,7 +144,7 @@ rule IF A IS t THEN O = 0.125
     fis = parse_fis(source)
     again = parse_fis(serialize(fis))
     assert again == fis
-    assert again.inputs[0].term("t").c == 0.30000000000000004
+    assert dict(again.inputs[0].terms)["t"].c == 0.30000000000000004
 
 
 def test_default_config_roundtrips(default_fis):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import threading
 
@@ -10,10 +11,9 @@ from fuzzylos import (
     Rule,
     SugenoFis,
     TrapezoidMF,
-    firing_strength,
     infer,
 )
-from helpers import brute_force_raw, random_fis, random_point
+from helpers import brute_force_raw, random_fis, random_point, rule_strength
 
 
 def two_input_fis(and_operator="min", rules=None):
@@ -39,34 +39,31 @@ def two_input_fis(and_operator="min", rules=None):
     )
 
 
+def strength_of(fis, rule, values):
+    """The firing strength of ``rule`` alone: with one rule fired, the total."""
+    return infer(dataclasses.replace(fis, rules=(rule,)), values).total_strength
+
+
 def test_firing_strength_min_and_annihilator():
     fis = two_input_fis()
     rule = fis.rules[0]
     # degrees: Flow lo at 40 -> 0.5, Speed hi at 6 -> 1.0
-    assert firing_strength(fis, rule, {"Flow": 40.0, "Speed": 6.0}) == 0.5
+    assert strength_of(fis, rule, {"Flow": 40.0, "Speed": 6.0}) == 0.5
     # Flow lo at 50 -> 0.0 annihilates
-    assert firing_strength(fis, rule, {"Flow": 50.0, "Speed": 8.0}) == 0.0
+    assert strength_of(fis, rule, {"Flow": 50.0, "Speed": 8.0}) == 0.0
 
 
 def test_firing_strength_product():
     fis = two_input_fis(and_operator="product")
     rule = fis.rules[0]
     # degrees 0.5 and 0.8: Speed hi at 5.6 -> 0.8
-    w = firing_strength(fis, rule, {"Flow": 40.0, "Speed": 5.6})
+    w = strength_of(fis, rule, {"Flow": 40.0, "Speed": 5.6})
     assert w == pytest.approx(0.4, abs=1e-12)
 
 
 def test_firing_strength_empty_antecedent_is_one():
     fis = two_input_fis()
-    assert firing_strength(fis, Rule((), 2.0), {"Flow": 0.0, "Speed": 0.0}) == 1.0
-
-
-def test_firing_strength_unknown_names_are_config_errors():
-    fis = two_input_fis()
-    with pytest.raises(FisConfigError):
-        firing_strength(fis, Rule((("Bogus", "lo"),), 1.0), {"Flow": 1.0, "Speed": 1.0})
-    with pytest.raises(FisConfigError):
-        firing_strength(fis, Rule((("Flow", "warp"),), 1.0), {"Flow": 1.0, "Speed": 1.0})
+    assert strength_of(fis, Rule((), 2.0), {"Flow": 0.0, "Speed": 0.0}) == 1.0
 
 
 def test_infer_single_rule_is_exact():
@@ -105,7 +102,7 @@ def test_infer_plateau_unique_rule_hand_oracle(default_fis):
     # (38-41) < 0 none).  Hand-evaluating all 27 rules leaves exactly one
     # nonzero firing: (Very_Low, Middle) with consequent 1.
     fired = [
-        (rule, firing_strength(default_fis, rule, {"TrafficFlow": 600.0, "Speed": 38.0}))
+        (rule, rule_strength(default_fis, rule, {"TrafficFlow": 600.0, "Speed": 38.0}))
         for rule in default_fis.rules
     ]
     positive = [(rule, w) for rule, w in fired if w > 0]
@@ -129,8 +126,11 @@ def test_infer_out_of_domain_rejected():
 
 def test_infer_empty_rule_base_rejected():
     fis = two_input_fis(rules=())
-    with pytest.raises(FisConfigError):
+    with pytest.raises(FisConfigError, match="empty rule base"):
         infer(fis, {"Flow": 10.0, "Speed": 5.0})
+    # the domain is checked first
+    with pytest.raises(OutOfDomainError):
+        infer(fis, {"Flow": 101.0, "Speed": 5.0})
 
 
 def test_fis_validation_rejects_bad_rules():
@@ -226,7 +226,7 @@ def test_raw_stays_within_fired_consequent_range():
                 continue
             consequents = [
                 r.consequent for r in fis.rules
-                if firing_strength(fis, r, point) > 0
+                if rule_strength(fis, r, point) > 0
             ]
             assert min(consequents) <= result.raw <= max(consequents)
 

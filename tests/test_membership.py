@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fuzzylos import FisConfigError, FuzzyVariable, TrapezoidMF, membership_degree
+from fuzzylos import FisConfigError, FuzzyVariable, TrapezoidMF
 
 
 @pytest.mark.parametrize(
@@ -12,7 +12,7 @@ from fuzzylos import FisConfigError, FuzzyVariable, TrapezoidMF, membership_degr
 )
 def test_trapezoid_values(x, expected):
     mf = TrapezoidMF(10, 20, 30, 40)
-    assert membership_degree(mf, x) == expected
+    assert mf.degree(x) == expected
 
 
 def test_left_shoulder_evaluates_to_one_at_edge():
@@ -86,7 +86,5 @@ def test_variable_fuzzify_and_lookup():
     )
     degrees = var.fuzzify(35.0)
     assert degrees == {"slow": 0.25, "fast": 0.25}
-    assert var.term("slow").plateau == (0.0, 20.0)
-    with pytest.raises(FisConfigError):
-        var.term("warp")
+    assert dict(var.terms)["slow"].plateau == (0.0, 20.0)
     assert var.contains(80.0) and not var.contains(80.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from datetime import datetime
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 import fuzzylos as fz
 from fuzzylos import (
+    FisConfigError,
     FuzzyVariable,
     IngestError,
     LosRegionModel,
@@ -220,6 +222,12 @@ class TestEvaluate:
         assert len(report.errors) == 1
         assert "point 1" in report.errors[0]
 
+    def test_rule_free_system_raises(self, default_fis, default_model):
+        fis = dataclasses.replace(default_fis, rules=())
+        data = [Measurement("t", 65.0, 700.0)]
+        with pytest.raises(FisConfigError, match="empty rule base"):
+            evaluate(fis, default_model, data)
+
     def test_empty_data_rejected(self, default_fis, default_model):
         with pytest.raises(ValueError):
             evaluate(default_fis, default_model, [])
@@ -312,3 +320,8 @@ class TestLabelCsv:
     def test_bad_number_is_an_ingest_error(self, default_model):
         with pytest.raises(IngestError, match="line 3: speed_kmh 'oops' is not a number"):
             label_csv(default_model, HEADER + "t0,62.0,1200\nt1,oops,600\n")
+
+    def test_row_outside_the_envelope_is_an_ingest_error_at_its_line(self, default_model):
+        text = HEADER + "t1,62.0,1200\n\n\"t\n2\",62.0,7000\nt3,62.0,1200\n"
+        with pytest.raises(IngestError, match=r"^line 4: point \(flow=7000\.0, speed=62\.0\)"):
+            label_csv(default_model, text)

@@ -46,6 +46,26 @@ def test_region_file_errors():
         )  # overlap
 
 
+@pytest.mark.parametrize(
+    "region", ["region 2 flow 10 inf speed 0 10", "region 2 flow -inf -5 speed 0 10"]
+)
+def test_region_file_rejects_non_finite_bounds(region):
+    text = "region 1 flow 0 10 speed 0 10\n" + region + "\n"
+    with pytest.raises(RegionError, match="^line 2: rectangle bounds must be finite"):
+        parse_regions(text)
+
+
+@pytest.mark.parametrize("bounds", [
+    (0.0, float("inf"), 0.0, 80.0),
+    (float("-inf"), 10.0, 0.0, 80.0),
+    (0.0, 10.0, float("-inf"), 80.0),
+    (0.0, 10.0, 0.0, float("inf")),
+])
+def test_rect_rejects_non_finite_bounds(bounds):
+    with pytest.raises(RegionError, match="finite"):
+        Rect(*bounds)
+
+
 def test_oracle_containment(default_model):
     assert oracle_label(default_model, 700.0, 65.0) == 1
     assert oracle_label(default_model, 2000.0, 60.0) == 2
