@@ -15,30 +15,14 @@ import sys
 from pathlib import Path
 
 from . import default_fis_text, default_regions_text
-from .dsl import FisDocument, FisValidationError, ParseError, build_fis, parse, serialize
-from .engine import FisConfigError, OutOfDomainError, SugenoFis
-from .pipeline import (
-    IngestError,
-    evaluate,
-    export_surface,
-    generate_synthetic,
-    ingest,
-    label_csv,
-)
-from .regions import LosRegionModel, RegionError, classify, parse_regions
-from .rulegen import RuleConflictError, generate_rules
+from .dsl import FisDocument, build_fis, parse, parse_fis, serialize
+from .engine import SugenoFis
+from .pipeline import evaluate, export_surface, generate_synthetic, ingest, label_csv
+from .regions import LosRegionModel, classify, los_inputs, parse_regions
+from .rulegen import generate_rules
 
-USER_ERRORS = (
-    ParseError,
-    FisValidationError,
-    FisConfigError,
-    RegionError,
-    IngestError,
-    RuleConflictError,
-    OutOfDomainError,
-    ValueError,
-    OSError,
-)
+# Every fuzzylos error subclasses ValueError.
+USER_ERRORS = (ValueError, OSError)
 
 
 def _read_text(path: str) -> str:
@@ -47,8 +31,8 @@ def _read_text(path: str) -> str:
 
 def _load_fis_arg(args: argparse.Namespace) -> SugenoFis:
     text = _read_text(args.fis) if args.fis else default_fis_text()
-    fis = build_fis(parse(text))
-    if getattr(args, "and_op", None):
+    fis = parse_fis(text)
+    if args.and_op:
         fis = dataclasses.replace(fis, and_operator=args.and_op)
     return fis
 
@@ -112,9 +96,7 @@ def _cmd_genrules(args: argparse.Namespace) -> int:
     doc = parse(text)
     skeleton = FisDocument(variables=doc.variables, rules=[], and_operator=doc.and_operator)
     fis = build_fis(skeleton)
-    if len(fis.inputs) != 2:
-        raise ValueError(f"rule generation needs a two-input system, got {len(fis.inputs)}")
-    flow_var, speed_var = fis.inputs
+    flow_var, speed_var = los_inputs(fis)
     rules = generate_rules(model, flow_var, speed_var, grid=args.grid, agreement=args.agreement)
     complete = dataclasses.replace(fis, rules=rules)
     _emit(serialize(complete), args.out)

@@ -67,14 +67,6 @@ class TrapezoidMF:
                 f"got ({self.a}, {self.b}, {self.c}, {self.d})"
             )
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.d)
-
-    @property
-    def plateau(self) -> tuple[float, float]:
-        return (self.b, self.c)
-
     def degree(self, x: float) -> float:
         """Membership degree of x, in [0, 1].  Total: never raises."""
         if x < self.a or x > self.d:
@@ -84,10 +76,6 @@ class TrapezoidMF:
         if x < self.b:
             return (x - self.a) / (self.b - self.a)
         return (self.d - x) / (self.d - self.c)
-
-    def covers(self, x: float) -> bool:
-        """True where the degree is strictly positive."""
-        return self.degree(x) > 0.0
 
 
 def grid_value(lo: float, hi: float, steps: int, index: int) -> float:
@@ -140,10 +128,6 @@ class FuzzyVariable:
         lo, hi = self.domain
         return lo <= x <= hi
 
-    def fuzzify(self, x: float) -> dict[str, float]:
-        """Membership degree of x in every term."""
-        return dict(zip(self.term_names(), self.degrees(x)))
-
     def degrees(self, x: float) -> list[float]:
         """Membership degree of x in every term, in declaration order."""
         return [mf.degree(x) for _, mf in self.terms]
@@ -189,7 +173,7 @@ class SugenoFis:
     and compiles each rule to ``(((input index, term index), ...),
     consequent)`` for the inference kernel; ``dataclasses.replace`` builds,
     and so compiles, a new system.  A system without rules is valid (rule
-    generation starts from one), but inference on it raises.
+    generation starts from one); ``check_rules`` refuses it for inference.
     """
 
     inputs: tuple[FuzzyVariable, ...]
@@ -262,6 +246,11 @@ class SugenoFis:
                     f"{var.name} = {x} outside domain [{lo}, {hi}]"
                 )
 
+    def check_rules(self) -> None:
+        """Raise FisConfigError if the system has no rule to infer with."""
+        if not self.rules:
+            raise FisConfigError("cannot infer with an empty rule base")
+
 
 def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:
     """Run Sugeno inference for one crisp input assignment.
@@ -316,8 +305,7 @@ def _infer_degrees(fis: SugenoFis, degrees: Sequence[Sequence[float]]) -> Infere
             c_max = max(c_max, consequent)
 
     if fired == 0:
-        if not fis._compiled:
-            raise FisConfigError("cannot infer with an empty rule base")
+        fis.check_rules()
         return InferenceResult(raw=0.0, fired_rule_count=0, total_strength=0.0)
 
     total = math.fsum(weights)

@@ -18,7 +18,7 @@ from datetime import datetime, timedelta
 from typing import Iterator
 
 from .engine import OutOfDomainError, SugenoFis, _infer_degrees, grid_value
-from .regions import LosRegionModel, check_classification, classify, oracle_label
+from .regions import LosRegionModel, check_classification, classify, los_inputs, oracle_label
 
 CSV_HEADER = ("timestamp", "speed_kmh", "flow_vph")
 LABELED_CSV_HEADER = CSV_HEADER + ("los",)
@@ -277,9 +277,9 @@ def evaluate(
     Unlabeled points and anomalous predictions are excluded from the accuracy
     denominator.  A point outside the system's or the model's domain is the
     only per-point error: it goes into the report and never aborts the run.
-    A bad ``epsilon`` or a system without two inputs raises before any point
-    is scored; any other error, such as an empty rule base, raises from the
-    first point that reaches it.
+    ``check_classification`` runs before any point is scored, so a bad
+    ``epsilon`` raises ValueError and a system without exactly two inputs or
+    without rules raises FisConfigError even if every point is out of domain.
     """
     if not data:
         raise ValueError("no data to evaluate")
@@ -317,13 +317,12 @@ def surface_grid(fis: SugenoFis, flow_steps: int, speed_steps: int):
     The grid is separable: each speed value and each flow row is fuzzified
     once, and every cell goes through the kernel ``infer`` uses, so each cell
     is bit-identical to pointwise inference.  The system must have exactly
-    two inputs, flow first.
+    two inputs, flow first (FisConfigError otherwise), and an empty rule base
+    raises from the first cell, as it does in ``infer``.
     """
     if flow_steps < 2 or speed_steps < 2:
         raise ValueError("surface export needs at least 2 steps per axis")
-    if len(fis.inputs) != 2:
-        raise ValueError(f"surface export needs a two-input system, got {len(fis.inputs)}")
-    flow_var, speed_var = fis.inputs
+    flow_var, speed_var = los_inputs(fis)
     flo, fhi = flow_var.domain
     slo, shi = speed_var.domain
     flows = [grid_value(flo, fhi, flow_steps, i) for i in range(flow_steps)]

@@ -13,7 +13,14 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .engine import InferenceResult, OutOfDomainError, SugenoFis, infer
+from .engine import (
+    FisConfigError,
+    FuzzyVariable,
+    InferenceResult,
+    OutOfDomainError,
+    SugenoFis,
+    infer,
+)
 
 LOS_DESCRIPTIONS = {
     1: "The traffic flow is free.",
@@ -210,27 +217,41 @@ def round_half_up(value: float) -> int:
     return math.floor(value + 0.5)
 
 
-def check_classification(fis: SugenoFis, epsilon: float) -> None:
-    """Raise unless ``fis`` and ``epsilon`` can classify (flow, speed) pairs:
-    ValueError for an epsilon outside [0, 0.5), OutOfDomainError for a system
-    without exactly two inputs."""
+def los_inputs(fis: SugenoFis) -> tuple[FuzzyVariable, FuzzyVariable]:
+    """The (flow, speed) inputs of a LoS system, in that order; FisConfigError
+    unless ``fis`` has exactly two inputs."""
+    if len(fis.inputs) != 2:
+        raise FisConfigError(f"LoS needs a two-input system, got {len(fis.inputs)} inputs")
+    flow_var, speed_var = fis.inputs
+    return flow_var, speed_var
+
+
+def check_classification(
+    fis: SugenoFis, epsilon: float
+) -> tuple[FuzzyVariable, FuzzyVariable]:
+    """Check that ``fis`` and ``epsilon`` can classify (flow, speed) pairs and
+    return the (flow, speed) inputs.
+
+    Raises ValueError for an epsilon outside [0, 0.5), then FisConfigError
+    for a system without exactly two inputs or without rules.  No point is
+    involved, so a caller can make the check once, before its first point.
+    """
     if not 0 <= epsilon < 0.5:
         raise ValueError(f"epsilon must lie in [0, 0.5), got {epsilon}")
-    if len(fis.inputs) != 2:
-        raise OutOfDomainError(
-            f"LoS classification needs a two-input system, got {len(fis.inputs)}"
-        )
+    inputs = los_inputs(fis)
+    fis.check_rules()
+    return inputs
 
 
 def classify(fis: SugenoFis, flow: float, speed: float, epsilon: float = 0.05) -> Classification:
     """Classify one (flow, speed) pair through a two-input LoS system.
 
     The first input variable of the system takes the flow, the second the
-    speed.  Raw outputs round half up and clamp to [1, 6]; a zero-fired
-    inference is an anomaly, never a level.
+    speed.  ``check_classification`` runs first, so a bad epsilon or system
+    raises before the point's domain is checked.  Raw outputs round half up
+    and clamp to [1, 6]; a zero-fired inference is an anomaly, never a level.
     """
-    check_classification(fis, epsilon)
-    flow_var, speed_var = fis.inputs
+    flow_var, speed_var = check_classification(fis, epsilon)
     result = infer(fis, {flow_var.name: flow, speed_var.name: speed})
     if result.fired_rule_count == 0:
         return Classification(raw=result.raw, level=None, boundary=False, result=result)

@@ -116,8 +116,8 @@ def test_c5_plateau_exactness(default_fis):
         clause = dict(rule.antecedent)
         flow_mf = mfs[(flow_name, clause[flow_name])]
         speed_mf = mfs[(speed_name, clause[speed_name])]
-        fb, fc = flow_mf.plateau
-        sb, sc = speed_mf.plateau
+        fb, fc = flow_mf.b, flow_mf.c
+        sb, sc = speed_mf.b, speed_mf.c
         if fb > fc or sb > sc:
             continue
         overlapped = any(

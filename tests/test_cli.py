@@ -273,6 +273,25 @@ class TestGenrules:
         assert code == 0
         assert len([l for l in out.splitlines() if l.startswith("rule ")]) == 27
 
+    def test_one_input_system_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "one.fis"
+        path.write_text(ONE_INPUT_FIS, encoding="utf-8")
+        code, out, err = run(capsys, "genrules", "--fis", str(path))
+        assert code == 2
+        assert "two-input system" in err
+        assert out == ""
+
+
+def test_every_exported_error_is_a_user_error():
+    # the CLI maps ValueError to exit 2, which covers every fuzzylos error
+    errors = [
+        obj for obj in (getattr(fz, name) for name in fz.__all__)
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    ]
+    assert len(errors) >= 7
+    for error in errors:
+        assert issubclass(error, ValueError), error
+
 
 def test_idempotent_invocations(capsys, tmp_path):
     a = tmp_path / "a.csv"

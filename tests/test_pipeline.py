@@ -228,6 +228,13 @@ class TestEvaluate:
         with pytest.raises(FisConfigError, match="empty rule base"):
             evaluate(fis, default_model, data)
 
+    def test_rule_free_system_raises_before_the_first_point(self, default_fis, default_model):
+        # the only point is out of domain, so no point reaches the kernel
+        fis = dataclasses.replace(default_fis, rules=())
+        data = [Measurement("t", 200.0, 700.0)]
+        with pytest.raises(FisConfigError, match="empty rule base"):
+            evaluate(fis, default_model, data)
+
     def test_empty_data_rejected(self, default_fis, default_model):
         with pytest.raises(ValueError):
             evaluate(default_fis, default_model, [])

@@ -192,8 +192,18 @@ def test_classify_requires_two_inputs():
         output_domain=(0.0, 6.0),
         rules=(fz.Rule((("A", "t"),), 1.0),),
     )
-    with pytest.raises(OutOfDomainError):
+    # a misconfigured system is not a per-point data error
+    with pytest.raises(fz.FisConfigError, match="two-input system") as raised:
         classify(fis, 0.5, 0.5)
+    assert not isinstance(raised.value, OutOfDomainError)
+
+
+def test_classify_rule_free_system_raises_before_domain_check(default_fis):
+    fis = fz.SugenoFis(default_fis.inputs, default_fis.output_name, default_fis.output_domain, ())
+    with pytest.raises(fz.FisConfigError, match="empty rule base"):
+        classify(fis, 600.0, 38.0)
+    with pytest.raises(fz.FisConfigError, match="empty rule base"):
+        classify(fis, 600.0, 1000.0)  # speed outside the domain
 
 
 def test_grid_consistency_against_oracle(default_fis, default_model):
