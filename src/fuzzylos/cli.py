@@ -14,11 +14,11 @@ import json
 import sys
 from pathlib import Path
 
-from . import default_fis_text, default_regions_text
-from .dsl import FisDocument, build_fis, parse, parse_fis, serialize
+from . import default_fis, default_fis_text, default_regions
+from .dsl import FisDocument, build_fis, load_fis, parse, serialize
 from .engine import SugenoFis
 from .pipeline import evaluate, export_surface, generate_synthetic, ingest, label_csv
-from .regions import LosRegionModel, classify, los_inputs, parse_regions
+from .regions import LosRegionModel, classify, load_regions, los_inputs
 from .rulegen import generate_rules
 
 # Every fuzzylos error subclasses ValueError.
@@ -30,16 +30,14 @@ def _read_text(path: str) -> str:
 
 
 def _load_fis_arg(args: argparse.Namespace) -> SugenoFis:
-    text = _read_text(args.fis) if args.fis else default_fis_text()
-    fis = parse_fis(text)
+    fis = load_fis(args.fis) if args.fis else default_fis()
     if args.and_op:
         fis = dataclasses.replace(fis, and_operator=args.and_op)
     return fis
 
 
 def _load_regions_arg(args: argparse.Namespace) -> LosRegionModel:
-    text = _read_text(args.regions) if args.regions else default_regions_text()
-    return parse_regions(text)
+    return load_regions(args.regions) if args.regions else default_regions()
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -34,11 +34,10 @@ from .engine import FisConfigError, FuzzyVariable, Location, Rule, SugenoFis, Tr
 class ParseError(ValueError):
     """A positioned error in a ``.fis`` source text."""
 
-    def __init__(self, line: int, column: int, message: str, token: str = ""):
+    def __init__(self, line: int, column: int, message: str):
         self.line = line
         self.column = column
         self.message = message
-        self.token = token
         super().__init__(f"line {line}, column {column}: {message}")
 
 
@@ -124,27 +123,27 @@ class _Line:
     def keyword(self, word: str) -> None:
         tok, col = self.next(f"'{word}'")
         if tok != word:
-            raise ParseError(self.lineno, col, f"expected '{word}', got {tok!r}", tok)
+            raise ParseError(self.lineno, col, f"expected '{word}', got {tok!r}")
 
     def ident(self, what: str) -> tuple[str, int]:
         tok, col = self.next(what)
         if not _IDENT_RE.match(tok):
-            raise ParseError(self.lineno, col, f"expected {what}, got {tok!r}", tok)
+            raise ParseError(self.lineno, col, f"expected {what}, got {tok!r}")
         return tok, col
 
     def number(self, what: str = "a number") -> tuple[float, int]:
         tok, col = self.next(what)
         if not _NUM_RE.match(tok):
-            raise ParseError(self.lineno, col, f"expected {what}, got {tok!r}", tok)
+            raise ParseError(self.lineno, col, f"expected {what}, got {tok!r}")
         value = float(tok)
         if not math.isfinite(value):
-            raise ParseError(self.lineno, col, f"number {tok[:24]}... is too large", tok)
+            raise ParseError(self.lineno, col, f"number {tok[:24]}... is too large")
         return value, col
 
     def end(self) -> None:
         got = self.peek()
         if got is not None:
-            raise ParseError(self.lineno, got[1], f"unexpected trailing {got[0]!r}", got[0])
+            raise ParseError(self.lineno, got[1], f"unexpected trailing {got[0]!r}")
 
 
 def parse(source: str) -> FisDocument:
@@ -166,7 +165,7 @@ def parse(source: str) -> FisDocument:
             line.next("'variable'")
             kind, kcol = line.next("'input' or 'output'")
             if kind not in ("input", "output"):
-                raise ParseError(number, kcol, f"expected 'input' or 'output', got {kind!r}", kind)
+                raise ParseError(number, kcol, f"expected 'input' or 'output', got {kind!r}")
             name, ncol = line.ident("a variable name")
             unit = ""
             if line.peek() and line.peek()[0] == "[":
@@ -174,7 +173,7 @@ def parse(source: str) -> FisDocument:
                 unit, _ = line.ident("a unit")
                 tok, ccol = line.next("']'")
                 if tok != "]":
-                    raise ParseError(number, ccol, f"expected ']', got {tok!r}", tok)
+                    raise ParseError(number, ccol, f"expected ']', got {tok!r}")
             line.keyword("domain")
             lo, _ = line.number("the domain lower bound")
             hi, _ = line.number("the domain upper bound")
@@ -184,7 +183,7 @@ def parse(source: str) -> FisDocument:
         elif word == "mf":
             line.next("'mf'")
             if current_var is None:
-                raise ParseError(number, col, "mf declaration before any variable", word)
+                raise ParseError(number, col, "mf declaration before any variable")
             term, tcol = line.ident("a term name")
             line.keyword("trap")
             points = tuple(line.number("a breakpoint")[0] for _ in range(4))
@@ -203,11 +202,11 @@ def parse(source: str) -> FisDocument:
                 if conj == "THEN":
                     break
                 if conj != "AND":
-                    raise ParseError(number, ccol, f"expected 'AND' or 'THEN', got {conj!r}", conj)
+                    raise ParseError(number, ccol, f"expected 'AND' or 'THEN', got {conj!r}")
             output, _ = line.ident("the output variable name")
             tok, ecol = line.next("'='")
             if tok != "=":
-                raise ParseError(number, ecol, f"expected '=', got {tok!r}", tok)
+                raise ParseError(number, ecol, f"expected '=', got {tok!r}")
             value, _ = line.number("the consequent value")
             line.end()
             doc.rules.append(RuleStmt(number, col, clauses, output, value))
@@ -216,15 +215,15 @@ def parse(source: str) -> FisDocument:
             line.keyword("and_operator")
             op, ocol = line.next("'min' or 'product'")
             if op not in ("min", "product"):
-                raise ParseError(number, ocol, f"expected 'min' or 'product', got {op!r}", op)
+                raise ParseError(number, ocol, f"expected 'min' or 'product', got {op!r}")
             line.end()
             if saw_directive:
-                raise ParseError(number, col, "duplicate and_operator directive", word)
+                raise ParseError(number, col, "duplicate and_operator directive")
             saw_directive = True
             doc.and_operator = op
         else:
             raise ParseError(
-                number, col, f"expected 'variable', 'mf', 'rule' or 'set', got {word!r}", word
+                number, col, f"expected 'variable', 'mf', 'rule' or 'set', got {word!r}"
             )
     if not doc.variables:
         raise ParseError(1, 1, "no variables declared")

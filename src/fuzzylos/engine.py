@@ -7,10 +7,11 @@ consequents.  All types are frozen dataclasses; inference is a pure function,
 so a built system is safe to share across threads.
 
 A SugenoFis compiles its rule base once, at construction, into
-(input index, term index) clauses.  Inference fuzzifies each input once and
-fires the compiled rules in one kernel, the only code that evaluates a rule,
-which ``infer`` and ``pipeline.surface_grid`` share, so a surface cell is
-bit-identical to pointwise inference.
+(input index, term index) clauses.  Inference fuzzifies each input once, in
+``FuzzyVariable.degrees``, which owns the domain check, and fires the compiled
+rules in one kernel, the only code that evaluates a rule.  ``infer`` and
+``pipeline.surface_grid`` share both, so a surface cell is bit-identical to
+pointwise inference.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class OutOfDomainError(ValueError):
 
 @dataclass(frozen=True)
 class TrapezoidMF:
-    """Trapezoidal membership function with breakpoints a <= b <= c <= d.
+    """Trapezoidal membership function with finite breakpoints a <= b <= c <= d.
 
     The function is 0 outside [a, d], 1 on the plateau [b, c] and linear on
     the ramps.  b == c gives a triangle; a == b or c == d gives a vertical
@@ -61,6 +62,9 @@ class TrapezoidMF:
     d: float
 
     def __post_init__(self) -> None:
+        points = (self.a, self.b, self.c, self.d)
+        if not all(map(math.isfinite, points)):
+            raise FisConfigError(f"trapezoid breakpoints must be finite, got {points}")
         if not (self.a <= self.b <= self.c <= self.d):
             raise FisConfigError(
                 f"trapezoid breakpoints must satisfy a <= b <= c <= d, "
@@ -89,7 +93,7 @@ def grid_value(lo: float, hi: float, steps: int, index: int) -> float:
 
 @dataclass(frozen=True)
 class FuzzyVariable:
-    """A named input with a closed domain and ordered linguistic terms.
+    """A named input with a finite closed domain and ordered linguistic terms.
 
     Term supports must lie inside the domain but need not cover it: the
     uncovered zones are exactly where no rule can fire.  Construction raises
@@ -105,7 +109,11 @@ class FuzzyVariable:
     def __post_init__(self) -> None:
         problems: list[tuple[Location, str]] = []
         lo, hi = self.domain
-        if not lo < hi:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            problems.append(
+                (("domain",), f"variable {self.name!r}: domain [{lo}, {hi}] must be finite")
+            )
+        elif not lo < hi:
             problems.append((("domain",), f"variable {self.name!r}: domain [{lo}, {hi}] is empty"))
         seen = set()
         for j, (term_name, mf) in enumerate(self.terms):
@@ -124,12 +132,12 @@ class FuzzyVariable:
     def term_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
 
-    def contains(self, x: float) -> bool:
-        lo, hi = self.domain
-        return lo <= x <= hi
-
     def degrees(self, x: float) -> list[float]:
-        """Membership degree of x in every term, in declaration order."""
+        """Membership degree of x in every term, in declaration order;
+        OutOfDomainError if x (NaN included) lies outside the domain."""
+        lo, hi = self.domain
+        if not lo <= x <= hi:
+            raise OutOfDomainError(f"{self.name} = {x} outside domain [{lo}, {hi}]")
         return [mf.degree(x) for _, mf in self.terms]
 
 
@@ -193,7 +201,9 @@ class SugenoFis:
         if not self.inputs:
             problems.append((("inputs",), "no input variable declared"))
         lo, hi = self.output_domain
-        if not lo < hi:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            problems.append((("output_domain",), f"output domain [{lo}, {hi}] must be finite"))
+        elif not lo < hi:
             problems.append((("output_domain",), f"output domain [{lo}, {hi}] is empty"))
         by_name: dict[str, FuzzyVariable] = {}
         slots: dict[str, tuple[int, dict[str, int]]] = {}  # name -> (position, term indices)
@@ -235,17 +245,6 @@ class SugenoFis:
             raise FisConfigError(problems=problems)
         object.__setattr__(self, "_compiled", tuple(compiled))
 
-    def check_domain(self, values: Mapping[str, float]) -> None:
-        for var in self.inputs:
-            if var.name not in values:
-                raise OutOfDomainError(f"no value supplied for variable {var.name!r}")
-            x = values[var.name]
-            if not var.contains(x):
-                lo, hi = var.domain
-                raise OutOfDomainError(
-                    f"{var.name} = {x} outside domain [{lo}, {hi}]"
-                )
-
     def check_rules(self) -> None:
         """Raise FisConfigError if the system has no rule to infer with."""
         if not self.rules:
@@ -257,26 +256,30 @@ def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:
 
     raw = sum(w_i * c_i) / sum(w_i) over the rules with positive firing
     strength.  When no rule fires the result is raw = 0 with a zero rule
-    count, the anomaly encoding.  Out-of-domain inputs raise OutOfDomainError
-    rather than being clamped; then an empty rule base raises FisConfigError.
+    count, the anomaly encoding.  Inputs are fuzzified in declaration order,
+    and the first one without a value, or outside its domain, raises
+    OutOfDomainError; then an empty rule base raises FisConfigError.
 
     The result is independent of rule order: the sums are accumulated with
     math.fsum, which returns the correctly rounded sum regardless of operand
     order, and the weighted average is clamped into the exact consequent range
     of the fired rules to keep float rounding from leaking outside it.
     """
-    fis.check_domain(values)
-    return _infer_degrees(fis, [var.degrees(values[var.name]) for var in fis.inputs])
+    degrees = []
+    for var in fis.inputs:
+        if var.name not in values:
+            raise OutOfDomainError(f"no value supplied for variable {var.name!r}")
+        degrees.append(var.degrees(values[var.name]))
+    return _infer_degrees(fis, degrees)
 
 
 def _infer_degrees(fis: SugenoFis, degrees: Sequence[Sequence[float]]) -> InferenceResult:
     """The inference kernel: fire the compiled rules on fuzzified inputs.
 
-    ``degrees[i][j]`` is the membership degree of input i in its term j.  The
-    caller has checked that the inputs lie in their domains.  Each rule
-    conjoins its clauses in order, from 1.0, and stops at the first clause
-    that brings its strength to 0.  An empty rule base fires nothing, so it is
-    checked, and raises FisConfigError, only when no rule fired.
+    ``degrees[i][j]`` is the membership degree of input i in its term j.
+    Each rule conjoins its clauses in order, from 1.0, and stops at the first
+    clause that brings its strength to 0.  An empty rule base fires nothing,
+    so it is checked, and raises FisConfigError, only when no rule fired.
     """
     use_min = fis.and_operator == "min"
     weights: list[float] = []

@@ -25,7 +25,7 @@ LABELED_CSV_HEADER = CSV_HEADER + ("los",)
 
 
 class IngestError(ValueError):
-    """The input CSV cannot be accepted (bad header, or strict-mode row errors)."""
+    """The input CSV cannot be accepted (a bad header, or any bad row in ``label_csv``)."""
 
 
 @dataclass(frozen=True)
@@ -109,43 +109,33 @@ def _read_rows(
         yield line, record, row
 
 
-def ingest(text: str, strict: bool = False) -> tuple[list[Measurement], list[str]]:
+def ingest(text: str) -> tuple[list[Measurement], list[str]]:
     """Parse measurement CSV, validating every row.
 
     The header must be ``timestamp,speed_kmh,flow_vph`` with an optional
     trailing ``los`` column of expert labels 1..6.  Quoted fields may hold
-    commas, quotes and newlines.  By default invalid rows are collected into
-    the returned error list (with line numbers) and the valid rows are kept;
-    with ``strict=True`` any invalid row raises IngestError instead.  A
-    missing or wrong header always raises.
+    commas, quotes and newlines.  Invalid rows are collected into the
+    returned error list (with line numbers) and the valid rows are kept; a
+    missing or wrong header raises IngestError.
     """
     rows: list[Measurement] = []
     errors: list[str] = []
     for _, record, row in _read_rows(text, labels=True):
         if isinstance(row, tuple):
             rows.append(Measurement(record[0].strip(), *row))
-        elif strict:
-            raise IngestError(str(row))
         else:
             errors.append(str(row))
     return rows, errors
 
 
-def generate_synthetic(
-    model: LosRegionModel,
-    n: int,
-    seed: int,
-    boundary_fraction: float = 0.02,
-    jitter: float = 20.0,
-    start: str = "2023-01-02T00:00:00",
-) -> list[Measurement]:
+def generate_synthetic(model: LosRegionModel, n: int, seed: int) -> list[Measurement]:
     """Manufacture measurements with the region model's labeled structure.
 
     Points fall uniformly inside the rectangles, proportionally to area.  A
-    ``boundary_fraction`` share of them is then pushed just across a randomly
-    chosen internal rectangle edge (by up to ``jitter`` units, capped at the
-    model envelope) to exercise boundary behavior.  Timestamps run at a
-    15-minute cadence from ``start``.  Deterministic for a given seed.
+    2% share of them is then pushed just across a randomly chosen internal
+    rectangle edge (by up to 20 units, capped at the model envelope) to
+    exercise boundary behavior.  Timestamps run at a 15-minute cadence from
+    2023-01-02T00:00:00.  Deterministic for a given seed.
     """
     if n <= 0:
         raise ValueError(f"need a positive sample count, got {n}")
@@ -167,8 +157,7 @@ def generate_synthetic(
         )
         chosen.append(index)
 
-    jitter_count = round(n * boundary_fraction)
-    for i in rng.sample(range(n), min(jitter_count, n)):
+    for i in rng.sample(range(n), round(n * 0.02)):
         rect = rects[chosen[i]]
         flow, speed = points[i]
         # internal edges only: never push a point out of the envelope
@@ -184,14 +173,14 @@ def generate_synthetic(
         if not edges:
             continue
         axis, edge, direction, room = rng.choice(edges)
-        offset = direction * rng.uniform(0.0, min(jitter, room))
+        offset = direction * rng.uniform(0.0, min(20.0, room))
         if axis == "flow":
             flow = edge + offset
         else:
             speed = edge + offset
         points[i] = (flow, speed)
 
-    t0 = datetime.fromisoformat(start)
+    t0 = datetime(2023, 1, 2)
     return [
         Measurement(
             timestamp=(t0 + timedelta(minutes=15 * i)).isoformat(),
@@ -206,15 +195,14 @@ def generate_synthetic(
 class EvaluationReport:
     """Point-by-point comparison of predictions against ground truth.
 
-    ``total`` counts the points that enter the accuracy denominator:
-    ground-truth-labeled and not predicted anomalous.  ``boundary_cases``
-    counts every classified point whose output sat between levels, labeled
-    or not.  ``confusion`` is indexed [truth - 1][predicted - 1].
+    ``confusion`` is indexed [truth - 1][predicted - 1] and counts the points
+    that enter the accuracy denominator: ground-truth-labeled and not
+    predicted anomalous.  ``total`` and ``mismatches`` derive from it, and
+    ``points`` adds the unlabeled, anomalous and error points to ``total``.
+    ``boundary_cases`` counts every classified point whose output sat
+    between levels, labeled or not.
     """
 
-    points: int = 0
-    total: int = 0
-    mismatches: int = 0
     unlabeled: int = 0
     anomalies: int = 0
     boundary_cases: int = 0
@@ -222,6 +210,18 @@ class EvaluationReport:
     confusion: list[list[int]] = field(
         default_factory=lambda: [[0] * 6 for _ in range(6)]
     )
+
+    @property
+    def total(self) -> int:
+        return sum(map(sum, self.confusion))
+
+    @property
+    def mismatches(self) -> int:
+        return self.total - sum(self.confusion[i][i] for i in range(6))
+
+    @property
+    def points(self) -> int:
+        return self.total + self.unlabeled + self.anomalies + len(self.errors)
 
     @property
     def accuracy(self) -> float:
@@ -284,7 +284,7 @@ def evaluate(
     if not data:
         raise ValueError("no data to evaluate")
     check_classification(fis, epsilon)
-    report = EvaluationReport(points=len(data))
+    report = EvaluationReport()
     for index, m in enumerate(data):
         try:
             truth = m.los
@@ -302,11 +302,8 @@ def evaluate(
         if prediction.is_anomaly:
             report.anomalies += 1
             continue
-        report.total += 1
         assert prediction.level is not None
         report.confusion[truth - 1][prediction.level - 1] += 1
-        if prediction.level != truth:
-            report.mismatches += 1
     return report
 
 
@@ -315,10 +312,10 @@ def surface_grid(fis: SugenoFis, flow_steps: int, speed_steps: int):
     flow-major, whose last values are the domain maxima themselves.
 
     The grid is separable: each speed value and each flow row is fuzzified
-    once, and every cell goes through the kernel ``infer`` uses, so each cell
-    is bit-identical to pointwise inference.  The system must have exactly
-    two inputs, flow first (FisConfigError otherwise), and an empty rule base
-    raises from the first cell, as it does in ``infer``.
+    once, domain check included, and every cell goes through the kernel
+    ``infer`` uses, so each cell is bit-identical to pointwise inference.
+    The system must have exactly two inputs, flow first (FisConfigError
+    otherwise), and an empty rule base raises from the first cell.
     """
     if flow_steps < 2 or speed_steps < 2:
         raise ValueError("surface export needs at least 2 steps per axis")

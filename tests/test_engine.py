@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import threading
 
@@ -122,6 +123,9 @@ def test_infer_out_of_domain_rejected():
         infer(fis, {"Flow": 50.0})
     with pytest.raises(OutOfDomainError):
         infer(fis, {"Flow": float("nan"), "Speed": 5.0})
+    # inputs are checked in declaration order: a missing Flow outranks a bad Speed
+    with pytest.raises(OutOfDomainError, match="no value supplied for variable 'Flow'"):
+        infer(fis, {"Speed": 500.0})
 
 
 def test_infer_empty_rule_base_rejected():
@@ -185,6 +189,24 @@ def test_variable_validation_reports_every_problem_at_its_location():
     with pytest.raises(FisConfigError) as info:
         FuzzyVariable("v", "", (5.0, 5.0), (("a", mf),))
     assert [location for location, _ in info.value.problems] == [("domain",)]
+
+
+@pytest.mark.parametrize(
+    "bounds", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (math.inf, -math.inf)]
+)
+def test_domains_must_be_finite(bounds):
+    # finiteness is checked before emptiness, so (inf, -inf) is not "empty"
+    with pytest.raises(FisConfigError) as info:
+        FuzzyVariable("v", "", bounds, ())
+    assert info.value.problems == (
+        (("domain",), f"variable 'v': domain [{bounds[0]}, {bounds[1]}] must be finite"),
+    )
+    fis = two_input_fis()
+    with pytest.raises(FisConfigError) as info:
+        SugenoFis(fis.inputs, "Out", bounds, ())
+    assert info.value.problems == (
+        (("output_domain",), f"output domain [{bounds[0]}, {bounds[1]}] must be finite"),
+    )
 
 
 def test_a_plain_config_error_is_one_problem_of_the_whole():

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from fuzzylos import FisConfigError, FuzzyVariable, TrapezoidMF
+from fuzzylos import FisConfigError, FuzzyVariable, OutOfDomainError, TrapezoidMF
 
 
 @pytest.mark.parametrize(
@@ -49,6 +50,17 @@ def test_breakpoint_order_enforced():
         TrapezoidMF(10, 20, 30, 25)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [(-math.inf, 0, 1, 2), (0, 0, 1, math.inf), (0, math.nan, 1, 2), (math.inf,) * 4],
+)
+def test_breakpoints_must_be_finite(points):
+    # an infinite breakpoint makes degree() NaN on its ramp, which the min
+    # operator skips (full strength) and the product operator propagates
+    with pytest.raises(FisConfigError, match="breakpoints must be finite"):
+        TrapezoidMF(*points)
+
+
 def test_degrees_bounded_and_continuous():
     rng = random.Random(1)
     for _ in range(200):
@@ -87,4 +99,6 @@ def test_variable_fuzzify_and_lookup():
     assert var.degrees(35.0) == [0.25, 0.25]
     slow = dict(var.terms)["slow"]
     assert (slow.b, slow.c) == (0.0, 20.0)
-    assert var.contains(80.0) and not var.contains(80.1)
+    assert var.degrees(80.0) == [0.0, 1.0]
+    with pytest.raises(OutOfDomainError, match=r"Speed = 80.1 outside domain \[0.0, 80.0\]"):
+        var.degrees(80.1)

@@ -62,10 +62,6 @@ class TestIngest:
         rows, errors = ingest(HEADER + "t0,62.0\n")
         assert rows == [] and len(errors) == 1
 
-    def test_strict_mode_is_all_or_nothing(self):
-        with pytest.raises(IngestError):
-            ingest(HEADER + "t0,62.0,1200\nt1,-5,800\n", strict=True)
-
     def test_quoted_newline_stays_inside_its_row(self):
         text = HEADER + '"a\nb",10,20\nt1,-5,800\n'
         rows, errors = ingest(text)
@@ -139,8 +135,10 @@ class TestSyntheticData:
         assert deltas == {900.0}
 
     def test_area_proportional_sampling(self, default_model):
-        data = generate_synthetic(default_model, 4000, seed=9, boundary_fraction=0.0)
-        counts = {level: 0 for level in range(1, 7)}
+        # 2% of the points are pushed across an internal edge, into a
+        # neighbour or a gap (None); the bound below absorbs them
+        data = generate_synthetic(default_model, 4000, seed=9)
+        counts = {level: 0 for level in (None, *range(1, 7))}
         for m in data:
             level = oracle_label(default_model, m.flow, m.speed)
             counts[level] += 1
@@ -221,6 +219,7 @@ class TestEvaluate:
         assert report.total == 1
         assert len(report.errors) == 1
         assert "point 1" in report.errors[0]
+        assert report.points == 2
 
     def test_rule_free_system_raises(self, default_fis, default_model):
         fis = dataclasses.replace(default_fis, rules=())
@@ -258,7 +257,9 @@ class TestEvaluate:
 
     def test_headline_arithmetic(self):
         # 28 misses out of 3825 evaluated points is 99.27% accuracy
-        report = fz.EvaluationReport(points=3825, total=3825, mismatches=28)
+        report = fz.EvaluationReport()
+        report.confusion[0][:2] = [3797, 28]
+        assert (report.points, report.total, report.mismatches) == (3825, 3825, 28)
         assert f"{report.accuracy:.2%}" == "99.27%"
 
     def test_render_and_dict(self, default_fis, default_model):
