@@ -50,7 +50,6 @@ from .regions import (
     load_regions,
     oracle_label,
     parse_regions,
-    round_half_up,
 )
 from .rulegen import RuleConflictError, generate_rules, half_cut
 
@@ -118,7 +117,6 @@ __all__ = [
     "parse",
     "parse_fis",
     "parse_regions",
-    "round_half_up",
     "serialize",
     "surface_grid",
 ]

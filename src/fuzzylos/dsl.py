@@ -343,28 +343,41 @@ def _format_number(value: float) -> str:
     return format(Decimal(repr(value)), "f")
 
 
+def _identifier(name: str, what: str) -> str:
+    """``name`` itself, or ValueError if the grammar cannot read it back."""
+    if not _IDENT_RE.fullmatch(name):
+        raise ValueError(f"cannot serialize {what} {name!r}: not a .fis identifier")
+    return name
+
+
 def serialize(fis: SugenoFis) -> str:
     """Render a system as canonical ``.fis`` text.
 
     parse(serialize(fis)) reconstructs a structurally identical system: rule
     order is preserved verbatim and numbers are printed with full round-trip
-    precision.
+    precision.  A system the grammar cannot express raises ValueError: an
+    input, output, term or non-empty unit name that is not an identifier,
+    or a rule without clauses.
     """
     lines: list[str] = [f"set and_operator {fis.and_operator}", ""]
     for var in fis.inputs:
-        unit = f" [{var.unit}]" if var.unit else ""
+        unit = f" [{_identifier(var.unit, 'unit')}]" if var.unit else ""
         lo, hi = var.domain
         lines.append(
-            f"variable input {var.name}{unit} domain {_format_number(lo)} {_format_number(hi)}"
+            f"variable input {_identifier(var.name, 'input')}{unit} "
+            f"domain {_format_number(lo)} {_format_number(hi)}"
         )
         for term_name, mf in var.terms:
             points = " ".join(_format_number(p) for p in (mf.a, mf.b, mf.c, mf.d))
-            lines.append(f"  mf {term_name} trap {points}")
+            lines.append(f"  mf {_identifier(term_name, 'term')} trap {points}")
         lines.append("")
     lo, hi = fis.output_domain
-    lines.append(f"variable output {fis.output_name} domain {_format_number(lo)} {_format_number(hi)}")
+    output = _identifier(fis.output_name, "output")
+    lines.append(f"variable output {output} domain {_format_number(lo)} {_format_number(hi)}")
     lines.append("")
-    for rule in fis.rules:
+    for k, rule in enumerate(fis.rules, start=1):
+        if not rule.antecedent:
+            raise ValueError(f"cannot serialize rule {k}: it has no clause")
         clauses = " AND ".join(f"{var} IS {term}" for var, term in rule.antecedent)
-        lines.append(f"rule IF {clauses} THEN {fis.output_name} = {_format_number(rule.consequent)}")
+        lines.append(f"rule IF {clauses} THEN {output} = {_format_number(rule.consequent)}")
     return "\n".join(lines).rstrip("\n") + "\n"

@@ -9,9 +9,9 @@ so a built system is safe to share across threads.
 A SugenoFis compiles its rule base once, at construction, into
 (input index, term index) clauses.  Inference fuzzifies each input once, in
 ``FuzzyVariable.degrees``, which owns the domain check, and fires the compiled
-rules in one kernel, the only code that evaluates a rule.  ``infer`` and
-``pipeline.surface_grid`` share both, so a surface cell is bit-identical to
-pointwise inference.
+rules in one kernel, the only code that evaluates a rule.  ``infer``,
+``regions.classifier`` and ``pipeline.surface_grid`` share both, so a
+classification or a surface cell is bit-identical to pointwise inference.
 """
 
 from __future__ import annotations

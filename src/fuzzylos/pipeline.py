@@ -15,10 +15,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .engine import OutOfDomainError, SugenoFis, _infer_degrees, grid_value
-from .regions import LosRegionModel, check_classification, classify, los_inputs, oracle_label
+from .regions import LosRegionModel, classifier, los_inputs, oracle_label
 
 CSV_HEADER = ("timestamp", "speed_kmh", "flow_vph")
 LABELED_CSV_HEADER = CSV_HEADER + ("los",)
@@ -267,30 +267,30 @@ class EvaluationReport:
 def evaluate(
     fis: SugenoFis,
     model: LosRegionModel | None,
-    data: list[Measurement],
+    data: Iterable[Measurement],
     epsilon: float = 0.05,
 ) -> EvaluationReport:
     """Score the system against ground truth, point by point.
 
-    Ground truth is each measurement's ``los`` label when present, otherwise
-    the region oracle (``model`` may be None only if every row is labeled).
-    Unlabeled points and anomalous predictions are excluded from the accuracy
-    denominator.  A point outside the system's or the model's domain is the
-    only per-point error: it goes into the report and never aborts the run.
-    ``check_classification`` runs before any point is scored, so a bad
-    ``epsilon`` raises ValueError and a system without exactly two inputs or
-    without rules raises FisConfigError even if every point is out of domain.
+    ``data`` is any iterable of measurements, read once, so a generator
+    streams.  Ground truth is each measurement's ``los`` label when present,
+    otherwise the region oracle (``model`` may be None only if every row is
+    labeled).  Unlabeled points and anomalous predictions are excluded from
+    the accuracy denominator.  A point outside the system's or the model's
+    domain is the only per-point error: it goes into the report and never
+    aborts the run.  ``classifier`` checks once, before any point is scored,
+    so a bad ``epsilon`` raises ValueError and a system without exactly two
+    inputs or without rules raises FisConfigError even if every point is out
+    of domain.  Data without a single point then raises ValueError.
     """
-    if not data:
-        raise ValueError("no data to evaluate")
-    check_classification(fis, epsilon)
+    rate = classifier(fis, epsilon)
     report = EvaluationReport()
     for index, m in enumerate(data):
         try:
             truth = m.los
             if truth is None and model is not None:
                 truth = oracle_label(model, m.flow, m.speed)
-            prediction = classify(fis, m.flow, m.speed, epsilon)
+            prediction = rate(m.flow, m.speed)
         except OutOfDomainError as exc:
             report.errors.append(f"point {index} ({m.timestamp}): {exc}")
             continue
@@ -304,6 +304,8 @@ def evaluate(
             continue
         assert prediction.level is not None
         report.confusion[truth - 1][prediction.level - 1] += 1
+    if report.points == 0:
+        raise ValueError("no data to evaluate")
     return report
 
 

@@ -5,21 +5,22 @@ The ground truth for a street is a set of pairwise disjoint rectangles in
 6 (congested).  Containment is half open, closed on the low edge, except
 that a rectangle touching the model's outer envelope keeps its high edge, so
 every in-domain point belongs to at most one rectangle.
+
+Classification rounds a two-input system's output to a level.
+``classifier`` checks the system once and returns the per-point function
+that ``classify`` and ``pipeline.evaluate`` share; it fuzzifies both inputs
+and fires the engine's kernel directly, as ``pipeline.surface_grid`` does.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .engine import (
-    FisConfigError,
-    FuzzyVariable,
-    InferenceResult,
-    OutOfDomainError,
-    SugenoFis,
-    infer,
+    FisConfigError, FuzzyVariable, Location, OutOfDomainError, SugenoFis, _infer_degrees
 )
 
 LOS_DESCRIPTIONS = {
@@ -33,7 +34,17 @@ LOS_DESCRIPTIONS = {
 
 
 class RegionError(ValueError):
-    """A region model file or definition is invalid."""
+    """A region model file or definition is invalid.
+
+    ``location`` says what a LosRegionModel refused: ``("lanes",)``, or
+    ``("regions", k)`` for its k-th (level, rectangle) pair, the later one of
+    two that overlap; ``()`` for the model as a whole or for a Rect.
+    ``parse_regions`` maps a location to the line that states it.
+    """
+
+    def __init__(self, message: str, location: Location = ()):
+        self.location = location
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -88,16 +99,16 @@ class LosRegionModel:
         if not self.regions:
             raise RegionError("a region model needs at least one rectangle")
         if self.lanes < 1:
-            raise RegionError(f"lane count must be positive, got {self.lanes}")
-        for level, _ in self.regions:
+            raise RegionError(f"lane count must be positive, got {self.lanes}", ("lanes",))
+        for k, (level, _) in enumerate(self.regions):
             if level not in LOS_DESCRIPTIONS:
-                raise RegionError(f"level of service must be 1..6, got {level}")
-        items = list(self.regions)
-        for i, (level_a, a) in enumerate(items):
-            for level_b, b in items[i + 1:]:
+                raise RegionError(f"level of service must be 1..6, got {level}", ("regions", k))
+        for i, (level_a, a) in enumerate(self.regions):
+            for k, (level_b, b) in enumerate(self.regions[i + 1:], start=i + 1):
                 if a.overlaps(b):
                     raise RegionError(
-                        f"rectangles for LoS {level_a} and LoS {level_b} overlap"
+                        f"rectangles for LoS {level_a} and LoS {level_b} overlap",
+                        ("regions", k),
                     )
         rects = [r for _, r in self.regions]
         object.__setattr__(
@@ -150,9 +161,13 @@ def parse_regions(source: str) -> LosRegionModel:
 
         lanes 3
         region 1 flow 0 1500 speed 50 80
+
+    Every error that concerns one statement, the model's own checks
+    included, starts with that statement's "line N: ".
     """
     lanes = 1
     regions: list[tuple[int, Rect]] = []
+    lines: dict[Location, int] = {}  # model location -> line number
     for number, raw in enumerate(source.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -162,6 +177,7 @@ def parse_regions(source: str) -> LosRegionModel:
             if len(tokens) != 2 or not re.fullmatch(r"\d+", tokens[1]):
                 raise RegionError(f"line {number}: expected 'lanes <n>'")
             lanes = int(tokens[1])
+            lines[("lanes",)] = number
         elif tokens[0] == "region":
             if (
                 len(tokens) != 8
@@ -181,9 +197,15 @@ def parse_regions(source: str) -> LosRegionModel:
                 regions.append((int(tokens[1]), Rect(flow_lo, flow_hi, speed_lo, speed_hi)))
             except RegionError as exc:
                 raise RegionError(f"line {number}: {exc}") from None
+            lines[("regions", len(regions) - 1)] = number
         else:
             raise RegionError(f"line {number}: unknown statement {tokens[0]!r}")
-    return LosRegionModel(regions=tuple(regions), lanes=lanes)
+    try:
+        return LosRegionModel(regions=tuple(regions), lanes=lanes)
+    except RegionError as exc:
+        if exc.location not in lines:
+            raise
+        raise RegionError(f"line {lines[exc.location]}: {exc}", exc.location) from None
 
 
 def load_regions(path) -> LosRegionModel:
@@ -203,7 +225,6 @@ class Classification:
     raw: float
     level: int | None
     boundary: bool
-    result: InferenceResult
 
     @property
     def is_anomaly(self) -> bool:
@@ -211,10 +232,6 @@ class Classification:
 
     def label(self) -> str:
         return "ANOMALY" if self.level is None else str(self.level)
-
-
-def round_half_up(value: float) -> int:
-    return math.floor(value + 0.5)
 
 
 def los_inputs(fis: SugenoFis) -> tuple[FuzzyVariable, FuzzyVariable]:
@@ -226,35 +243,33 @@ def los_inputs(fis: SugenoFis) -> tuple[FuzzyVariable, FuzzyVariable]:
     return flow_var, speed_var
 
 
-def check_classification(
-    fis: SugenoFis, epsilon: float
-) -> tuple[FuzzyVariable, FuzzyVariable]:
-    """Check that ``fis`` and ``epsilon`` can classify (flow, speed) pairs and
-    return the (flow, speed) inputs.
+def classifier(fis: SugenoFis, epsilon: float) -> Callable[[float, float], Classification]:
+    """Check ``epsilon`` and ``fis`` once and return the function that
+    classifies one (flow, speed) pair.
 
     Raises ValueError for an epsilon outside [0, 0.5), then FisConfigError
-    for a system without exactly two inputs or without rules.  No point is
-    involved, so a caller can make the check once, before its first point.
+    for a system without exactly two inputs or without rules.  The function
+    fuzzifies the flow, then the speed, and fires the kernel; raw outputs
+    round half up and clamp to [1, 6], and no rule firing is an anomaly.
     """
     if not 0 <= epsilon < 0.5:
         raise ValueError(f"epsilon must lie in [0, 0.5), got {epsilon}")
-    inputs = los_inputs(fis)
+    flow_var, speed_var = los_inputs(fis)
     fis.check_rules()
-    return inputs
+
+    def rate(flow: float, speed: float) -> Classification:
+        result = _infer_degrees(fis, (flow_var.degrees(flow), speed_var.degrees(speed)))
+        raw = result.raw
+        if result.fired_rule_count == 0:
+            return Classification(raw=raw, level=None, boundary=False)
+        level = min(max(math.floor(raw + 0.5), 1), 6)
+        return Classification(raw=raw, level=level, boundary=abs(raw - round(raw)) > epsilon)
+
+    return rate
 
 
 def classify(fis: SugenoFis, flow: float, speed: float, epsilon: float = 0.05) -> Classification:
-    """Classify one (flow, speed) pair through a two-input LoS system.
-
-    The first input variable of the system takes the flow, the second the
-    speed.  ``check_classification`` runs first, so a bad epsilon or system
-    raises before the point's domain is checked.  Raw outputs round half up
-    and clamp to [1, 6]; a zero-fired inference is an anomaly, never a level.
-    """
-    flow_var, speed_var = check_classification(fis, epsilon)
-    result = infer(fis, {flow_var.name: flow, speed_var.name: speed})
-    if result.fired_rule_count == 0:
-        return Classification(raw=result.raw, level=None, boundary=False, result=result)
-    level = min(max(round_half_up(result.raw), 1), 6)
-    boundary = abs(result.raw - round(result.raw)) > epsilon
-    return Classification(raw=result.raw, level=level, boundary=boundary, result=result)
+    """Classify one (flow, speed) pair through a two-input LoS system whose
+    first input takes the flow; ``classifier`` checks ``epsilon`` and the
+    system first, so they raise before the point's domain is checked."""
+    return classifier(fis, epsilon)(flow, speed)

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -155,6 +157,32 @@ def test_rule_order_preserved_verbatim(default_fis):
     reparsed = parse_fis(text)
     assert reparsed.rules == default_fis.rules
     assert serialize(reparsed) == text
+
+
+@pytest.mark.parametrize("field, name", [
+    ("input", "Traffic Flow"),
+    ("unit", "veh per h"),
+    ("term", "Very-Low"),
+    ("output", "LoS\n"),
+], ids=["input", "unit", "term", "output"])
+def test_serialize_refuses_names_the_grammar_cannot_read(default_fis, field, name):
+    flow, speed = default_fis.inputs
+    renamed_term = ((name, speed.terms[0][1]),) + speed.terms[1:]
+    changes = {
+        "input": dict(inputs=(dataclasses.replace(flow, name=name), speed)),
+        "unit": dict(inputs=(dataclasses.replace(flow, unit=name), speed)),
+        "term": dict(inputs=(flow, dataclasses.replace(speed, terms=renamed_term))),
+        "output": dict(output_name=name),
+    }[field]
+    fis = dataclasses.replace(default_fis, rules=(), **changes)
+    with pytest.raises(ValueError, match=re.escape(f"cannot serialize {field} {name!r}:")):
+        serialize(fis)
+
+
+def test_serialize_refuses_a_rule_without_clauses(default_fis):
+    fis = dataclasses.replace(default_fis, rules=default_fis.rules + (fz.Rule((), 3.0),))
+    with pytest.raises(ValueError, match=f"rule {len(fis.rules)}: it has no clause"):
+        serialize(fis)
 
 
 def test_random_roundtrips():

@@ -238,6 +238,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(default_fis, default_model, [])
 
+    def test_empty_iterator_rejected(self, default_fis, default_model):
+        with pytest.raises(ValueError, match="no data to evaluate"):
+            evaluate(default_fis, default_model, iter([]))
+
+    def test_generator_scores_like_the_list(self, default_fis, default_model):
+        data = generate_synthetic(default_model, 1500, 5)
+        streamed = evaluate(default_fis, default_model, (m for m in data))
+        assert streamed.to_dict() == evaluate(default_fis, default_model, data).to_dict()
+
     def test_report_arithmetic_exact(self, default_fis, default_model):
         data = generate_synthetic(default_model, 1500, seed=5)
         report = evaluate(default_fis, default_model, data)

@@ -2,9 +2,10 @@
 
 Systems come from ``helpers.random_fis`` seeded by hypothesis, and each one
 is run under both AND operators.  ``infer`` must agree with the independent
-brute-force evaluator, and every cell of a random two-input surface, which
-reaches the kernel without going through ``infer``, must be bit-identical to
-pointwise inference.  ``ingest`` must read back exactly what ``csv.writer``
+brute-force evaluator.  Every cell of a random two-input surface, and
+``classify`` at that cell, reach the kernel without going through ``infer``:
+both must be bit-identical to pointwise inference, and ``classify`` must
+round, clamp and flag boundaries and anomalies by its rule.  ``ingest`` must read back exactly what ``csv.writer``
 wrote, and what ``label_csv`` wrote from it.  ``generate_rules``, which
 counts core samples per axis, must give the rules or the conflict that
 asking the region oracle at every sample gives.  ``build_fis`` must turn
@@ -15,6 +16,7 @@ nothing else.
 import csv
 import dataclasses
 import io
+import math
 import random
 import struct
 import sys
@@ -79,6 +81,13 @@ def test_surface_cells_are_bit_identical_to_infer(seed, operator, flow_steps, sp
         expected = fz.infer(fis, {flow_name: flow, speed_name: speed})
         assert result == expected
         assert bits(result.raw) == bits(expected.raw)
+        rated = fz.classify(fis, flow, speed)
+        assert bits(rated.raw) == bits(expected.raw)
+        assert (rated.level is None) == (expected.fired_rule_count == 0)
+        if rated.level is not None:
+            # consequents span [-10, 20], so the clamp into 1..6 is exercised
+            assert rated.level == min(max(math.floor(expected.raw + 0.5), 1), 6)
+            assert rated.boundary == (abs(expected.raw - round(expected.raw)) > 0.05)
 
 
 # Small integers make core samples land exactly on rectangle edges and on

@@ -46,6 +46,36 @@ def test_region_file_errors():
         )  # overlap
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# lanes\nregion 1 flow 0 10 speed 0 10\nlanes 0\n",
+     "line 3: lane count must be positive, got 0"),
+    ("region 1 flow 0 10 speed 0 10\n\nregion 7 flow 10 20 speed 0 10\n",
+     "line 3: level of service must be 1..6, got 7"),
+    ("region 1 flow 0 10 speed 0 10\nregion 3 flow 20 30 speed 0 10\n"
+     "region 2 flow 5 15 speed 5 15\n",
+     "line 3: rectangles for LoS 1 and LoS 2 overlap"),
+], ids=["lanes", "level", "overlap"])
+def test_region_model_errors_name_their_line(text, message):
+    with pytest.raises(RegionError) as raised:
+        parse_regions(text)
+    assert str(raised.value) == message
+
+
+def test_region_model_errors_locate_their_argument():
+    ok = (1, Rect(0, 10, 0, 10))
+    cases = [
+        (dict(regions=(ok,), lanes=0), ("lanes",), "lane count must be positive, got 0"),
+        (dict(regions=(ok, (7, Rect(10, 20, 0, 10)))), ("regions", 1),
+         "level of service must be 1..6, got 7"),
+        (dict(regions=(ok, (3, Rect(20, 30, 0, 10)), (2, Rect(5, 15, 5, 15)))),
+         ("regions", 2), "rectangles for LoS 1 and LoS 2 overlap"),
+    ]
+    for kwargs, location, message in cases:
+        with pytest.raises(RegionError) as raised:
+            LosRegionModel(**kwargs)
+        assert (raised.value.location, str(raised.value)) == (location, message)
+
+
 @pytest.mark.parametrize(
     "region", ["region 2 flow 10 inf speed 0 10", "region 2 flow -inf -5 speed 0 10"]
 )
