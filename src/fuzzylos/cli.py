@@ -26,7 +26,7 @@ USER_ERRORS = (ValueError, OSError)
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _load_fis_arg(args: argparse.Namespace) -> SugenoFis:

@@ -157,12 +157,10 @@ def parse(source: str) -> FisDocument:
     saw_directive = False
     for number, raw in enumerate(source.splitlines(), start=1):
         line = _Line(number, raw)
-        head = line.peek()
-        if head is None:
+        if not line.tokens:
             continue
-        word, col = head
+        word, col = line.next("a statement")
         if word == "variable":
-            line.next("'variable'")
             kind, kcol = line.next("'input' or 'output'")
             if kind not in ("input", "output"):
                 raise ParseError(number, kcol, f"expected 'input' or 'output', got {kind!r}")
@@ -181,7 +179,6 @@ def parse(source: str) -> FisDocument:
             current_var = VarDecl(number, ncol, kind, name, unit, lo, hi)
             doc.variables.append(current_var)
         elif word == "mf":
-            line.next("'mf'")
             if current_var is None:
                 raise ParseError(number, col, "mf declaration before any variable")
             term, tcol = line.ident("a term name")
@@ -190,7 +187,6 @@ def parse(source: str) -> FisDocument:
             line.end()
             current_var.mfs.append(MfDecl(number, tcol, term, points))
         elif word == "rule":
-            line.next("'rule'")
             line.keyword("IF")
             clauses = []
             while True:
@@ -211,7 +207,6 @@ def parse(source: str) -> FisDocument:
             line.end()
             doc.rules.append(RuleStmt(number, col, clauses, output, value))
         elif word == "set":
-            line.next("'set'")
             line.keyword("and_operator")
             op, ocol = line.next("'min' or 'product'")
             if op not in ("min", "product"):
@@ -330,7 +325,8 @@ def parse_fis(source: str) -> SugenoFis:
 
 
 def load_fis(path) -> SugenoFis:
-    with open(path, "r", encoding="utf-8") as handle:
+    """``parse_fis`` of a UTF-8 file; a leading byte-order mark is ignored."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_fis(handle.read())
 
 

@@ -263,7 +263,8 @@ def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:
     The result is independent of rule order: the sums are accumulated with
     math.fsum, which returns the correctly rounded sum regardless of operand
     order, and the weighted average is clamped into the exact consequent range
-    of the fired rules to keep float rounding from leaking outside it.
+    of the fired rules to keep float rounding from leaking outside it, so a
+    lone fired rule gives its consequent exactly.
     """
     degrees = []
     for var in fis.inputs:
@@ -280,14 +281,13 @@ def _infer_degrees(fis: SugenoFis, degrees: Sequence[Sequence[float]]) -> Infere
     Each rule conjoins its clauses in order, from 1.0, and stops at the first
     clause that brings its strength to 0.  An empty rule base fires nothing,
     so it is checked, and raises FisConfigError, only when no rule fired.
+    The clamp into [min, max] of the fired consequents is also what makes a
+    lone fired rule return its consequent exactly (a -0.0 comes back as 0.0).
     """
     use_min = fis.and_operator == "min"
     weights: list[float] = []
     contributions: list[float] = []
-    fired = 0
-    only_consequent = 0.0
-    c_min = math.inf
-    c_max = -math.inf
+    consequents: list[float] = []
     for clauses, consequent in fis._compiled:
         w = 1.0
         for var_index, term_index in clauses:
@@ -300,21 +300,14 @@ def _infer_degrees(fis: SugenoFis, degrees: Sequence[Sequence[float]]) -> Infere
             if w == 0.0:
                 break
         if w > 0.0:
-            fired += 1
-            only_consequent = consequent
             weights.append(w)
             contributions.append(w * consequent)
-            c_min = min(c_min, consequent)
-            c_max = max(c_max, consequent)
+            consequents.append(consequent)
 
-    if fired == 0:
+    if not weights:
         fis.check_rules()
         return InferenceResult(raw=0.0, fired_rule_count=0, total_strength=0.0)
 
     total = math.fsum(weights)
-    if fired == 1:
-        return InferenceResult(raw=only_consequent, fired_rule_count=1, total_strength=total)
-
-    raw = math.fsum(contributions) / total
-    raw = min(max(raw, c_min), c_max)
-    return InferenceResult(raw=raw, fired_rule_count=fired, total_strength=total)
+    raw = min(max(math.fsum(contributions) / total, min(consequents)), max(consequents))
+    return InferenceResult(raw=raw, fired_rule_count=len(weights), total_strength=total)

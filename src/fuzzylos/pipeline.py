@@ -276,18 +276,22 @@ def evaluate(
     streams.  Ground truth is each measurement's ``los`` label when present,
     otherwise the region oracle (``model`` may be None only if every row is
     labeled).  Unlabeled points and anomalous predictions are excluded from
-    the accuracy denominator.  A point outside the system's or the model's
-    domain is the only per-point error: it goes into the report and never
-    aborts the run.  ``classifier`` checks once, before any point is scored,
-    so a bad ``epsilon`` raises ValueError and a system without exactly two
-    inputs or without rules raises FisConfigError even if every point is out
-    of domain.  Data without a single point then raises ValueError.
+    the accuracy denominator.  A supplied ``los`` outside 1..6, and then a
+    point outside the system's or the model's domain, are the per-point
+    errors: they go into the report and never abort the run.  ``classifier``
+    checks once, before any point is scored, so a bad ``epsilon`` raises
+    ValueError and a system without exactly two inputs or without rules
+    raises FisConfigError even if every point is out of domain.  Data
+    without a single point then raises ValueError.
     """
     rate = classifier(fis, epsilon)
     report = EvaluationReport()
     for index, m in enumerate(data):
+        truth = m.los
+        if truth is not None and not 1 <= truth <= 6:
+            report.errors.append(f"point {index} ({m.timestamp}): los must be 1..6, got {truth!r}")
+            continue
         try:
-            truth = m.los
             if truth is None and model is not None:
                 truth = oracle_label(model, m.flow, m.speed)
             prediction = rate(m.flow, m.speed)

@@ -189,13 +189,9 @@ def parse_regions(source: str) -> LosRegionModel:
                     f"line {number}: expected 'region <level> flow <lo> <hi> speed <lo> <hi>'"
                 )
             try:
-                flow_lo, flow_hi = float(tokens[3]), float(tokens[4])
-                speed_lo, speed_hi = float(tokens[6]), float(tokens[7])
-            except ValueError as exc:
-                raise RegionError(f"line {number}: {exc}") from None
-            try:
-                regions.append((int(tokens[1]), Rect(flow_lo, flow_hi, speed_lo, speed_hi)))
-            except RegionError as exc:
+                bounds = float(tokens[3]), float(tokens[4]), float(tokens[6]), float(tokens[7])
+                regions.append((int(tokens[1]), Rect(*bounds)))
+            except ValueError as exc:  # a bad number, or a RegionError from Rect
                 raise RegionError(f"line {number}: {exc}") from None
             lines[("regions", len(regions) - 1)] = number
         else:
@@ -209,7 +205,8 @@ def parse_regions(source: str) -> LosRegionModel:
 
 
 def load_regions(path) -> LosRegionModel:
-    with open(path, "r", encoding="utf-8") as handle:
+    """``parse_regions`` of a UTF-8 file; a leading byte-order mark is ignored."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_regions(handle.read())
 
 

@@ -45,12 +45,12 @@ def _axis_counts(
 ) -> list[int]:
     """Per [lo, hi) interval, how many of the term's ``grid`` core samples it
     holds, found by binary search; an interval ending on the envelope
-    maximum is closed, as in ``oracle_label``.  A point core is one sample."""
+    maximum is closed, as in ``oracle_label``.  A point core is a one-sample
+    grid, whose only sample ``grid_value`` returns as the point itself."""
     core_lo, core_hi = half_cut(mf)
-    if core_lo == core_hi:
-        return [int(lo <= core_lo < hi or core_lo == hi == envelope_hi) for lo, hi in intervals]
-    samples = range(grid)
-    key = partial(grid_value, core_lo, core_hi, grid)
+    steps = 1 if core_lo == core_hi else grid
+    samples = range(steps)
+    key = partial(grid_value, core_lo, core_hi, steps)
     return [
         (bisect_right if hi == envelope_hi else bisect_left)(samples, hi, key=key)
         - bisect_left(samples, lo, key=key)

@@ -293,6 +293,31 @@ def test_every_exported_error_is_a_user_error():
         assert issubclass(error, ValueError), error
 
 
+@pytest.mark.parametrize("command", [
+    ("label", "{csv}"),
+    ("evaluate", "{csv}"),
+    ("infer", "600", "38", "--fis", "{fis}"),
+    ("label", "{csv}", "--regions", "{los}"),
+])
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, command):
+    # Excel's "CSV UTF-8" starts a file with U+FEFF
+    texts = {
+        "csv": HEADER + "t0,62.0,1200\nt1,38.0,600\n",
+        "fis": fz.default_fis_text(),
+        "los": fz.default_regions_text(),
+    }
+    outputs = []
+    for mark in ("", "\ufeff"):
+        paths = {}
+        for kind, text in texts.items():
+            paths[kind] = tmp_path / f"{len(mark)}.{kind}"
+            paths[kind].write_text(mark + text, encoding="utf-8")
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in command))
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_idempotent_invocations(capsys, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -71,6 +71,20 @@ def test_syntax_error_carries_line_and_column():
     assert (info.value.line, info.value.column) == (1, 1)
 
 
+@pytest.mark.parametrize("source, message", [
+    ("variable input X domain 0 10\n  foo bar\n",
+     "line 2, column 3: expected 'variable', 'mf', 'rule' or 'set', got 'foo'"),
+    ("  mf a trap 0 1 2 3\n", "line 1, column 3: mf declaration before any variable"),
+    ("set and_operator min\n  set and_operator product\n",
+     "line 2, column 3: duplicate and_operator directive"),
+    ("variable input X domain 0 10\n  rule\n", "line 2, column 7: expected 'IF', got end of line"),
+], ids=["unknown", "mf-first", "duplicate-set", "bare-rule"])
+def test_statement_head_errors(source, message):
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert str(info.value) == message
+
+
 def test_validation_collects_all_errors():
     source = """\
 variable input A domain 0 10

@@ -221,6 +221,22 @@ class TestEvaluate:
         assert "point 1" in report.errors[0]
         assert report.points == 2
 
+    def test_label_outside_1_to_6_is_a_per_point_error(self, default_fis, default_model):
+        data = [
+            Measurement("a", 62.0, 700.0, los=0),
+            Measurement("b", 62.0, 700.0, los=7),
+            Measurement("c", 62.0, 700.0),
+        ]
+        report = evaluate(default_fis, default_model, data)
+        assert report.errors == [
+            "point 0 (a): los must be 1..6, got 0",
+            "point 1 (b): los must be 1..6, got 7",
+        ]
+        confusion = [[0] * 6 for _ in range(6)]
+        confusion[0][0] = 1  # the unlabelled point: oracle LoS 1, predicted 1
+        assert report.confusion == confusion
+        assert report.points == 3
+
     def test_rule_free_system_raises(self, default_fis, default_model):
         fis = dataclasses.replace(default_fis, rules=())
         data = [Measurement("t", 65.0, 700.0)]

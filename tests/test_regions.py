@@ -54,7 +54,11 @@ def test_region_file_errors():
     ("region 1 flow 0 10 speed 0 10\nregion 3 flow 20 30 speed 0 10\n"
      "region 2 flow 5 15 speed 5 15\n",
      "line 3: rectangles for LoS 1 and LoS 2 overlap"),
-], ids=["lanes", "level", "overlap"])
+    ("lanes 2\nregion 1 flow 0 x speed 0 10\n",
+     "line 2: could not convert string to float: 'x'"),
+    ("lanes 2\nregion 1 flow 20 10 speed 0 10\n",
+     "line 2: degenerate rectangle flow [20.0, 10.0] speed [0.0, 10.0]"),
+], ids=["lanes", "level", "overlap", "number", "degenerate"])
 def test_region_model_errors_name_their_line(text, message):
     with pytest.raises(RegionError) as raised:
         parse_regions(text)
