@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import default_fis, default_fis_text, default_regions
-from .dsl import FisDocument, build_fis, load_fis, parse, serialize
+from .dsl import build_fis, load_fis, parse, serialize
 from .engine import SugenoFis
 from .pipeline import evaluate, export_surface, generate_synthetic, ingest, label_csv
 from .regions import LosRegionModel, classify, load_regions, los_inputs
@@ -91,9 +91,8 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 def _cmd_genrules(args: argparse.Namespace) -> int:
     model = _load_regions_arg(args)
     text = _read_text(args.fis) if args.fis else default_fis_text()
-    doc = parse(text)
-    skeleton = FisDocument(variables=doc.variables, rules=[], and_operator=doc.and_operator)
-    fis = build_fis(skeleton)
+    # the template's own rules are replaced, so they are never validated
+    fis = build_fis(dataclasses.replace(parse(text), rules=[]))
     flow_var, speed_var = los_inputs(fis)
     rules = generate_rules(model, flow_var, speed_var, grid=args.grid, agreement=args.agreement)
     complete = dataclasses.replace(fis, rules=rules)

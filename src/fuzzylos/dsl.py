@@ -11,12 +11,13 @@ THEN are upper case, and identifiers are case sensitive::
     variable output LoS domain 0 6
     rule IF TrafficFlow IS Very_Low AND Speed IS High THEN LoS = 1
 
-Numbers are plain decimals (optional sign and fraction, no exponents).
-Output variables declare a domain but no membership functions: zeroth-order
-consequents are bare constants.  ``parse`` reports the first syntax error
-with its 1-based line and column.  ``build_fis`` then reports every
-violation the engine's constructors find, each at the line and column of
-the declaration, rule or clause it concerns, in two rounds: first the
+Numbers are plain ASCII decimals (optional minus sign and fraction, no
+exponents).  Output variables declare a domain but no membership functions:
+zeroth-order consequents are bare constants.  ``parse`` reports the first
+syntax error with its 1-based line and column; ``regions.parse_regions``
+reads ``.los`` files with the same line lexer.  ``build_fis`` then reports
+every violation the engine's constructors find, each at the line and column
+of the declaration, rule or clause it concerns, in two rounds: first the
 declarations (the output count, every ``mf`` line, every input variable);
 once those are valid, the system (variable names, output domain, rules).
 """
@@ -95,8 +96,9 @@ class FisDocument:
     and_operator: str = "min"
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*|-?\d+(?:\.\d+)?|[\[\]=]|\S")
-_NUM_RE = re.compile(r"-?\d+(?:\.\d+)?$")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*|-?[0-9]+(?:\.[0-9]+)?|[\[\]=]|\S")
+_NUM_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?$")
+_COUNT_RE = re.compile(r"[0-9]+$")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*$")
 
 
@@ -120,10 +122,16 @@ class _Line:
         self.pos += 1
         return got
 
-    def keyword(self, word: str) -> None:
-        tok, col = self.next(f"'{word}'")
-        if tok != word:
-            raise ParseError(self.lineno, col, f"expected '{word}', got {tok!r}")
+    def keyword(self, *words: str) -> tuple[str, int]:
+        """The next token, which must be one of ``words``."""
+        got = self.peek()
+        if got is not None and got[0] in words:
+            self.pos += 1
+            return got
+        quoted = [f"'{word}'" for word in words]
+        expect = f"{', '.join(quoted[:-1])} or {quoted[-1]}" if len(quoted) > 1 else quoted[0]
+        tok, col = self.next(expect)  # raises at the end of the line
+        raise ParseError(self.lineno, col, f"expected {expect}, got {tok!r}")
 
     def ident(self, what: str) -> tuple[str, int]:
         tok, col = self.next(what)
@@ -139,6 +147,13 @@ class _Line:
         if not math.isfinite(value):
             raise ParseError(self.lineno, col, f"number {tok[:24]}... is too large")
         return value, col
+
+    def count(self, what: str) -> tuple[int, int]:
+        """A non-negative integer in plain digits."""
+        tok, col = self.next(what)
+        if not _COUNT_RE.match(tok):
+            raise ParseError(self.lineno, col, f"expected {what}, got {tok!r}")
+        return int(tok), col
 
     def end(self) -> None:
         got = self.peek()
@@ -159,19 +174,15 @@ def parse(source: str) -> FisDocument:
         line = _Line(number, raw)
         if not line.tokens:
             continue
-        word, col = line.next("a statement")
+        word, col = line.keyword("variable", "mf", "rule", "set")
         if word == "variable":
-            kind, kcol = line.next("'input' or 'output'")
-            if kind not in ("input", "output"):
-                raise ParseError(number, kcol, f"expected 'input' or 'output', got {kind!r}")
+            kind, _ = line.keyword("input", "output")
             name, ncol = line.ident("a variable name")
             unit = ""
             if line.peek() and line.peek()[0] == "[":
-                line.next("'['")
+                line.keyword("[")
                 unit, _ = line.ident("a unit")
-                tok, ccol = line.next("']'")
-                if tok != "]":
-                    raise ParseError(number, ccol, f"expected ']', got {tok!r}")
+                line.keyword("]")
             line.keyword("domain")
             lo, _ = line.number("the domain lower bound")
             hi, _ = line.number("the domain upper bound")
@@ -194,32 +205,21 @@ def parse(source: str) -> FisDocument:
                 line.keyword("IS")
                 term, _ = line.ident("a term name")
                 clauses.append(ClauseStmt(number, vcol, var, term))
-                conj, ccol = line.next("'AND' or 'THEN'")
-                if conj == "THEN":
+                if line.keyword("AND", "THEN")[0] == "THEN":
                     break
-                if conj != "AND":
-                    raise ParseError(number, ccol, f"expected 'AND' or 'THEN', got {conj!r}")
             output, _ = line.ident("the output variable name")
-            tok, ecol = line.next("'='")
-            if tok != "=":
-                raise ParseError(number, ecol, f"expected '=', got {tok!r}")
+            line.keyword("=")
             value, _ = line.number("the consequent value")
             line.end()
             doc.rules.append(RuleStmt(number, col, clauses, output, value))
-        elif word == "set":
+        else:
             line.keyword("and_operator")
-            op, ocol = line.next("'min' or 'product'")
-            if op not in ("min", "product"):
-                raise ParseError(number, ocol, f"expected 'min' or 'product', got {op!r}")
+            op, _ = line.keyword("min", "product")
             line.end()
             if saw_directive:
                 raise ParseError(number, col, "duplicate and_operator directive")
             saw_directive = True
             doc.and_operator = op
-        else:
-            raise ParseError(
-                number, col, f"expected 'variable', 'mf', 'rule' or 'set', got {word!r}"
-            )
     if not doc.variables:
         raise ParseError(1, 1, "no variables declared")
     return doc

@@ -4,7 +4,8 @@ The ground truth for a street is a set of pairwise disjoint rectangles in
 (flow, speed) space, each carrying a level of service from 1 (free flow) to
 6 (congested).  Containment is half open, closed on the low edge, except
 that a rectangle touching the model's outer envelope keeps its high edge, so
-every in-domain point belongs to at most one rectangle.
+every in-domain point belongs to at most one rectangle.  ``.los`` files are
+read with the ``.fis`` line lexer of ``dsl``.
 
 Classification rounds a two-input system's output to a level.
 ``classifier`` checks the system once and returns the per-point function
@@ -15,10 +16,10 @@ and fires the engine's kernel directly, as ``pipeline.surface_grid`` does.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from .dsl import ParseError, _Line
 from .engine import (
     FisConfigError, FuzzyVariable, Location, OutOfDomainError, SugenoFis, _infer_degrees
 )
@@ -162,40 +163,35 @@ def parse_regions(source: str) -> LosRegionModel:
         lanes 3
         region 1 flow 0 1500 speed 50 80
 
-    Every error that concerns one statement, the model's own checks
-    included, starts with that statement's "line N: ".
+    A syntax error starts with "line N, column C: ".  Every other error that
+    concerns one statement, the model's own checks included, starts with
+    that statement's "line N: ".
     """
     lanes = 1
     regions: list[tuple[int, Rect]] = []
     lines: dict[Location, int] = {}  # model location -> line number
     for number, raw in enumerate(source.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+        line = _Line(number, raw)
+        if not line.tokens:
             continue
-        tokens = body.split()
-        if tokens[0] == "lanes":
-            if len(tokens) != 2 or not re.fullmatch(r"\d+", tokens[1]):
-                raise RegionError(f"line {number}: expected 'lanes <n>'")
-            lanes = int(tokens[1])
-            lines[("lanes",)] = number
-        elif tokens[0] == "region":
-            if (
-                len(tokens) != 8
-                or tokens[2] != "flow"
-                or tokens[5] != "speed"
-                or not re.fullmatch(r"\d+", tokens[1])
-            ):
-                raise RegionError(
-                    f"line {number}: expected 'region <level> flow <lo> <hi> speed <lo> <hi>'"
-                )
-            try:
-                bounds = float(tokens[3]), float(tokens[4]), float(tokens[6]), float(tokens[7])
-                regions.append((int(tokens[1]), Rect(*bounds)))
-            except ValueError as exc:  # a bad number, or a RegionError from Rect
-                raise RegionError(f"line {number}: {exc}") from None
-            lines[("regions", len(regions) - 1)] = number
-        else:
-            raise RegionError(f"line {number}: unknown statement {tokens[0]!r}")
+        try:
+            if line.keyword("lanes", "region")[0] == "lanes":
+                lanes, _ = line.count("the lane count")
+                line.end()
+                lines[("lanes",)] = number
+                continue
+            level, _ = line.count("the level")
+            line.keyword("flow")
+            flow = line.number("a flow bound")[0], line.number("a flow bound")[0]
+            line.keyword("speed")
+            speed = line.number("a speed bound")[0], line.number("a speed bound")[0]
+            line.end()
+            regions.append((level, Rect(*flow, *speed)))
+        except ParseError as exc:
+            raise RegionError(str(exc)) from None
+        except RegionError as exc:  # from Rect
+            raise RegionError(f"line {number}: {exc}") from None
+        lines[("regions", len(regions) - 1)] = number
     try:
         return LosRegionModel(regions=tuple(regions), lanes=lanes)
     except RegionError as exc:

@@ -273,6 +273,14 @@ class TestGenrules:
         assert code == 0
         assert len([l for l in out.splitlines() if l.startswith("rule ")]) == 27
 
+    def test_template_rules_are_replaced_unvalidated(self, capsys, tmp_path):
+        path = tmp_path / "template.fis"
+        template = fz.default_fis_text() + "rule IF Speed IS Warp THEN LoS = 2\n"
+        path.write_text(template, encoding="utf-8")
+        code, out, _ = run(capsys, "genrules", "--fis", str(path))
+        assert code == 0
+        assert len([l for l in out.splitlines() if l.startswith("rule ")]) == 27
+
     def test_one_input_system_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "one.fis"
         path.write_text(ONE_INPUT_FIS, encoding="utf-8")

@@ -70,6 +70,10 @@ def test_syntax_error_carries_line_and_column():
         parse("bogus line here\n")
     assert (info.value.line, info.value.column) == (1, 1)
 
+    with pytest.raises(ParseError) as info:
+        parse("variable input X domain 0 ١٠\n")  # non-ASCII digits
+    assert (info.value.line, info.value.column) == (1, 27)
+
 
 @pytest.mark.parametrize("source, message", [
     ("variable input X domain 0 10\n  foo bar\n",
@@ -78,7 +82,8 @@ def test_syntax_error_carries_line_and_column():
     ("set and_operator min\n  set and_operator product\n",
      "line 2, column 3: duplicate and_operator directive"),
     ("variable input X domain 0 10\n  rule\n", "line 2, column 7: expected 'IF', got end of line"),
-], ids=["unknown", "mf-first", "duplicate-set", "bare-rule"])
+    ("variable input X [a b domain 0 1\n", "line 1, column 21: expected ']', got 'b'"),
+], ids=["unknown", "mf-first", "duplicate-set", "bare-rule", "unclosed-unit"])
 def test_statement_head_errors(source, message):
     with pytest.raises(ParseError) as info:
         parse(source)

@@ -226,16 +226,22 @@ class TestEvaluate:
             Measurement("a", 62.0, 700.0, los=0),
             Measurement("b", 62.0, 700.0, los=7),
             Measurement("c", 62.0, 700.0),
+            Measurement("d", 62.0, 700.0, los=2.0),
+            Measurement("e", 62.0, 700.0, los="2"),
+            Measurement("f", 62.0, 700.0, los=True),
         ]
         report = evaluate(default_fis, default_model, data)
         assert report.errors == [
             "point 0 (a): los must be 1..6, got 0",
             "point 1 (b): los must be 1..6, got 7",
+            "point 3 (d): los must be 1..6, got 2.0",
+            "point 4 (e): los must be 1..6, got '2'",
+            "point 5 (f): los must be 1..6, got True",
         ]
         confusion = [[0] * 6 for _ in range(6)]
         confusion[0][0] = 1  # the unlabelled point: oracle LoS 1, predicted 1
         assert report.confusion == confusion
-        assert report.points == 3
+        assert report.points == 6
 
     def test_rule_free_system_raises(self, default_fis, default_model):
         fis = dataclasses.replace(default_fis, rules=())

@@ -39,6 +39,8 @@ def test_region_file_errors():
     with pytest.raises(RegionError):
         parse_regions("blargh 1 2 3")
     with pytest.raises(RegionError):
+        parse_regions("lanes ١٠\nregion 1 flow 0 10 speed 0 10")  # non-ASCII digits
+    with pytest.raises(RegionError):
         parse_regions("")  # no rectangles
     with pytest.raises(RegionError):
         parse_regions(
@@ -55,7 +57,7 @@ def test_region_file_errors():
      "region 2 flow 5 15 speed 5 15\n",
      "line 3: rectangles for LoS 1 and LoS 2 overlap"),
     ("lanes 2\nregion 1 flow 0 x speed 0 10\n",
-     "line 2: could not convert string to float: 'x'"),
+     "line 2, column 17: expected a flow bound, got 'x'"),
     ("lanes 2\nregion 1 flow 20 10 speed 0 10\n",
      "line 2: degenerate rectangle flow [20.0, 10.0] speed [0.0, 10.0]"),
 ], ids=["lanes", "level", "overlap", "number", "degenerate"])
@@ -80,13 +82,36 @@ def test_region_model_errors_locate_their_argument():
         assert (raised.value.location, str(raised.value)) == (location, message)
 
 
-@pytest.mark.parametrize(
-    "region", ["region 2 flow 10 inf speed 0 10", "region 2 flow -inf -5 speed 0 10"]
-)
+@pytest.mark.parametrize("text, message", [
+    ("region 1 flow 0 10 speed 0 10\nlane 3\n",
+     "line 2, column 1: expected 'lanes' or 'region', got 'lane'"),
+    ("lanes\n", "line 1, column 6: expected the lane count, got end of line"),
+    ("region 1.5 flow 0 10 speed 0 10\n", "line 1, column 8: expected the level, got '1.5'"),
+    ("region 1 flow 0 1e4 speed 0 10\n", "line 1, column 18: expected 'speed', got 'e4'"),
+    ("region 1 flow 0 1_000 speed 0 10\n", "line 1, column 18: expected 'speed', got '_000'"),
+    ("region 1 flow +5 10 speed 0 10\n", "line 1, column 15: expected a flow bound, got '+'"),
+    ("region 1 flow 0 inf speed 0 10\n",
+     "line 1, column 17: expected a flow bound, got 'inf'"),
+    ("region 1 flow 0 10 speed 0 10 x\n", "line 1, column 31: unexpected trailing 'x'"),
+], ids=["unknown", "no-lane-count", "level", "exponent", "underscore", "plus", "inf", "trailing"])
+def test_region_file_syntax_errors_name_line_and_column(text, message):
+    with pytest.raises(RegionError) as raised:
+        parse_regions(text)
+    assert str(raised.value) == message
+
+
+NON_FINITE = {
+    "region 2 flow 10 inf speed 0 10": "line 2, column 18: expected a flow bound, got 'inf'",
+    "region 2 flow -inf -5 speed 0 10": "line 2, column 15: expected a flow bound, got '-'",
+}
+
+
+@pytest.mark.parametrize("region", NON_FINITE)
 def test_region_file_rejects_non_finite_bounds(region):
     text = "region 1 flow 0 10 speed 0 10\n" + region + "\n"
-    with pytest.raises(RegionError, match="^line 2: rectangle bounds must be finite"):
+    with pytest.raises(RegionError) as raised:
         parse_regions(text)
+    assert str(raised.value) == NON_FINITE[region]
 
 
 @pytest.mark.parametrize("bounds", [
