@@ -7,17 +7,25 @@ consequents.  All types are frozen dataclasses; inference is a pure function,
 so a built system is safe to share across threads.
 
 A SugenoFis compiles its rule base once, at construction, into
-(input index, term index) clauses.  Inference fuzzifies each input once, in
-``FuzzyVariable.degrees``, which owns the domain check, and fires the compiled
-rules in one kernel, the only code that evaluates a rule.  ``infer``,
-``regions.classifier`` and ``pipeline.surface_grid`` share both, so a
-classification or a surface cell is bit-identical to pointwise inference.
+(input index, term index) clauses.  Each input's domain is cut at its ends and
+at every term's support ends ``a`` and ``d``; a term is active in a cell when
+its closed support [a, d] meets the cell, and a rule is a candidate for a
+tuple of cells when every clause names an active term.  Both tables are built
+lazily, on the first inference, so a system that is only parsed, serialized
+or replaced pays nothing for them.  Inference fuzzifies each input once, in
+``FuzzyVariable.degrees``, which owns the domain check and finds the cell, and
+fires the cells' candidate rules in one kernel, the only code that evaluates
+a rule.  ``infer``, ``regions.classifier`` and ``pipeline.surface_grid``
+share both, so a classification or a surface cell is bit-identical to
+pointwise inference.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 
@@ -134,11 +142,39 @@ class FuzzyVariable:
 
     def degrees(self, x: float) -> list[float]:
         """Membership degree of x in every term, in declaration order;
-        OutOfDomainError if x (NaN included) lies outside the domain."""
+        OutOfDomainError if x (NaN included) lies outside the domain.
+
+        Only the terms active in x's cell are evaluated.  Every other term's
+        closed support misses the cell, and so x, so its degree is 0.0."""
+        return self._cell_degrees(x)[1]
+
+    def _cell_degrees(self, x: float) -> tuple[int, list[float]]:
+        """(index of the cell holding x, ``degrees(x)``).  A cut belongs to
+        the cell on its right, the domain maximum to the last cell."""
         lo, hi = self.domain
         if not lo <= x <= hi:
             raise OutOfDomainError(f"{self.name} = {x} outside domain [{lo}, {hi}]")
-        return [mf.degree(x) for _, mf in self.terms]
+        inner_cuts, active = self._cells
+        cell = bisect_right(inner_cuts, x)
+        degrees = [0.0] * len(self.terms)
+        for j, mf in active[cell]:
+            degrees[j] = mf.degree(x)
+        return cell, degrees
+
+    @cached_property
+    def _cells(self) -> tuple[list[float], list[tuple[tuple[int, TrapezoidMF], ...]]]:
+        """The cuts strictly inside the domain, sorted, and per cell
+        [cut_k, cut_k+1] the (index, function) of each term whose closed
+        support meets it.  The cuts are the domain ends and every ``a`` and
+        ``d``, so a term is positive throughout a cell's inside or nowhere."""
+        lo, hi = self.domain
+        cuts = sorted({lo, hi, *(p for _, mf in self.terms for p in (mf.a, mf.d))})
+        terms = list(enumerate(mf for _, mf in self.terms))
+        active = [
+            tuple((j, mf) for j, mf in terms if mf.a <= right and left <= mf.d)
+            for left, right in zip(cuts, cuts[1:])
+        ]
+        return cuts[1:-1], active
 
 
 @dataclass(frozen=True)
@@ -180,7 +216,8 @@ class SugenoFis:
     it finds (a consequent is checked only against a non-empty output domain)
     and compiles each rule to ``(((input index, term index), ...),
     consequent)`` for the inference kernel; ``dataclasses.replace`` builds,
-    and so compiles, a new system.  A system without rules is valid (rule
+    and so compiles, a new system.  The rule masks and the candidate memo
+    are built on the first inference.  A system without rules is valid (rule
     generation starts from one); ``check_rules`` refuses it for inference.
     """
 
@@ -250,6 +287,38 @@ class SugenoFis:
         if not self.rules:
             raise FisConfigError("cannot infer with an empty rule base")
 
+    @cached_property
+    def _candidates(self) -> dict[tuple[int, ...], tuple]:
+        """Memo from a tuple of cells, one per input, to its candidate
+        compiled rules in rule order; at most one entry per cell product.
+        Threads fill it without a lock: an entry is a pure function of its
+        key, so a race at worst computes one twice."""
+        return {}
+
+    @cached_property
+    def _masks(self) -> tuple[tuple[list[int], int], ...]:
+        """Per input: a rule bitmask for each term (bit k for a rule with a
+        clause naming it), and one for the rules with no clause on it."""
+        by_term = [[0] * len(var.terms) for var in self.inputs]
+        for k, (clauses, _) in enumerate(self._compiled):
+            for var_index, term_index in clauses:
+                by_term[var_index][term_index] |= 1 << k
+        every = (1 << len(self._compiled)) - 1
+        # a rule has at most one clause per input, so an input's term masks
+        # are disjoint and their sum is the rules that name the input
+        return tuple((masks, every - sum(masks)) for masks in by_term)
+
+    def _candidate_rules(self, cells: tuple[int, ...]) -> tuple:
+        """The compiled rules whose every clause names a term active in its
+        input's cell: the AND over inputs of the OR of the active terms' masks."""
+        mask = -1
+        for var, (by_term, free), cell in zip(self.inputs, self._masks, cells):
+            allowed = free
+            for j, _ in var._cells[1][cell]:
+                allowed |= by_term[j]
+            mask &= allowed
+        return tuple(rule for k, rule in enumerate(self._compiled) if mask >> k & 1)
+
 
 def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:
     """Run Sugeno inference for one crisp input assignment.
@@ -260,35 +329,47 @@ def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:
     and the first one without a value, or outside its domain, raises
     OutOfDomainError; then an empty rule base raises FisConfigError.
 
-    The result is independent of rule order: the sums are accumulated with
-    math.fsum, which returns the correctly rounded sum regardless of operand
-    order, and the weighted average is clamped into the exact consequent range
-    of the fired rules to keep float rounding from leaking outside it, so a
-    lone fired rule gives its consequent exactly.
+    The result is independent of rule order, and of the zero-strength rules
+    the kernel skips: the sums are accumulated with math.fsum, which returns
+    the correctly rounded sum regardless of operand order, and the weighted
+    average is clamped into the exact consequent range of the fired rules to
+    keep float rounding from leaking outside it, so a lone fired rule gives
+    its consequent exactly.
     """
-    degrees = []
+    cells, degrees = [], []
     for var in fis.inputs:
         if var.name not in values:
             raise OutOfDomainError(f"no value supplied for variable {var.name!r}")
-        degrees.append(var.degrees(values[var.name]))
-    return _infer_degrees(fis, degrees)
+        cell, var_degrees = var._cell_degrees(values[var.name])
+        cells.append(cell)
+        degrees.append(var_degrees)
+    return InferenceResult(*_infer_degrees(fis, tuple(cells), degrees))
 
 
-def _infer_degrees(fis: SugenoFis, degrees: Sequence[Sequence[float]]) -> InferenceResult:
-    """The inference kernel: fire the compiled rules on fuzzified inputs.
+def _infer_degrees(
+    fis: SugenoFis, cells: tuple[int, ...], degrees: Sequence[Sequence[float]]
+) -> tuple[float, int, float]:
+    """The inference kernel: fire the cells' candidate rules on fuzzified
+    inputs and return ``(raw, fired_rule_count, total_strength)``.
 
-    ``degrees[i][j]`` is the membership degree of input i in its term j.
+    ``cells[i]`` and ``degrees[i]`` are what ``_cell_degrees`` gives for
+    input i.  The candidates are memoised per cell tuple.  They include every
+    rule that can fire there, so a skipped rule has strength 0 and leaves
+    both sums and the clamp range, and so the result, bit for bit unchanged.
     Each rule conjoins its clauses in order, from 1.0, and stops at the first
     clause that brings its strength to 0.  An empty rule base fires nothing,
     so it is checked, and raises FisConfigError, only when no rule fired.
     The clamp into [min, max] of the fired consequents is also what makes a
     lone fired rule return its consequent exactly (a -0.0 comes back as 0.0).
     """
+    candidates = fis._candidates.get(cells)
+    if candidates is None:
+        candidates = fis._candidates[cells] = fis._candidate_rules(cells)
     use_min = fis.and_operator == "min"
     weights: list[float] = []
     contributions: list[float] = []
     consequents: list[float] = []
-    for clauses, consequent in fis._compiled:
+    for clauses, consequent in candidates:
         w = 1.0
         for var_index, term_index in clauses:
             d = degrees[var_index][term_index]
@@ -306,8 +387,8 @@ def _infer_degrees(fis: SugenoFis, degrees: Sequence[Sequence[float]]) -> Infere
 
     if not weights:
         fis.check_rules()
-        return InferenceResult(raw=0.0, fired_rule_count=0, total_strength=0.0)
+        return 0.0, 0, 0.0
 
     total = math.fsum(weights)
     raw = min(max(math.fsum(contributions) / total, min(consequents)), max(consequents))
-    return InferenceResult(raw=raw, fired_rule_count=len(weights), total_strength=total)
+    return raw, len(weights), total

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator
 
-from .engine import OutOfDomainError, SugenoFis, _infer_degrees, grid_value
+from .engine import InferenceResult, OutOfDomainError, SugenoFis, _infer_degrees, grid_value
 from .regions import LosRegionModel, classifier, los_inputs, oracle_label
 
 CSV_HEADER = ("timestamp", "speed_kmh", "flow_vph")
@@ -318,8 +318,9 @@ def surface_grid(fis: SugenoFis, flow_steps: int, speed_steps: int):
     flow-major, whose last values are the domain maxima themselves.
 
     The grid is separable: each speed value and each flow row is fuzzified
-    once, domain check included, and every cell goes through the kernel
-    ``infer`` uses, so each cell is bit-identical to pointwise inference.
+    once, domain check and cell lookup included, and every cell goes
+    through the kernel ``infer`` uses, so each cell is bit-identical to
+    pointwise inference.
     The system must have exactly two inputs, flow first (FisConfigError
     otherwise), and an empty rule base raises from the first cell.
     """
@@ -330,11 +331,13 @@ def surface_grid(fis: SugenoFis, flow_steps: int, speed_steps: int):
     slo, shi = speed_var.domain
     flows = [grid_value(flo, fhi, flow_steps, i) for i in range(flow_steps)]
     speeds = [grid_value(slo, shi, speed_steps, j) for j in range(speed_steps)]
-    speed_degrees = [speed_var.degrees(speed) for speed in speeds]
+    speed_cells = [speed_var._cell_degrees(speed) for speed in speeds]
     for flow in flows:
-        flow_degrees = flow_var.degrees(flow)
-        for speed, degrees in zip(speeds, speed_degrees):
-            yield flow, speed, _infer_degrees(fis, (flow_degrees, degrees))
+        flow_cell, flow_degrees = flow_var._cell_degrees(flow)
+        for speed, (speed_cell, degrees) in zip(speeds, speed_cells):
+            yield flow, speed, InferenceResult(
+                *_infer_degrees(fis, (flow_cell, speed_cell), (flow_degrees, degrees))
+            )
 
 
 def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:

@@ -251,9 +251,10 @@ def classifier(fis: SugenoFis, epsilon: float) -> Callable[[float, float], Class
     fis.check_rules()
 
     def rate(flow: float, speed: float) -> Classification:
-        result = _infer_degrees(fis, (flow_var.degrees(flow), speed_var.degrees(speed)))
-        raw = result.raw
-        if result.fired_rule_count == 0:
+        flow_cell, flow_degrees = flow_var._cell_degrees(flow)
+        speed_cell, speed_degrees = speed_var._cell_degrees(speed)
+        raw, fired, _ = _infer_degrees(fis, (flow_cell, speed_cell), (flow_degrees, speed_degrees))
+        if fired == 0:
             return Classification(raw=raw, level=None, boundary=False)
         level = min(max(math.floor(raw + 0.5), 1), 6)
         return Classification(raw=raw, level=level, boundary=abs(raw - round(raw)) > epsilon)

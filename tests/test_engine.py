@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -12,7 +13,9 @@ from fuzzylos import (
     Rule,
     SugenoFis,
     TrapezoidMF,
+    default_fis_text,
     infer,
+    parse_fis,
 )
 from helpers import brute_force_raw, random_fis, random_point, rule_strength
 
@@ -111,6 +114,25 @@ def test_infer_plateau_unique_rule_hand_oracle(default_fis):
     assert positive[0][0].consequent == 1.0
     assert positive[0][1] == 1.0
     assert infer(default_fis, {"TrafficFlow": 600.0, "Speed": 38.0}).raw == 1.0
+
+
+def test_a_term_ending_on_a_cut_stays_active_in_the_next_cell():
+    # A's support ends where B's begins, at 5; A's vertical right shoulder
+    # gives it degree 1 there, and B's left shoulder does too.  The point lies
+    # in the cell [5, 10], which A's closed support [0, 5] still meets.
+    x = FuzzyVariable(
+        "X", "", (0.0, 10.0),
+        (("A", TrapezoidMF(0, 2, 5, 5)), ("B", TrapezoidMF(5, 5, 8, 10))),
+    )
+    fis = SugenoFis(
+        inputs=(x,),
+        output_name="Out",
+        output_domain=(0.0, 6.0),
+        rules=(Rule((("X", "A"),), 1.0), Rule((("X", "B"),), 3.0)),
+    )
+    result = infer(fis, {"X": 5.0})
+    assert result.raw == 2.0
+    assert result.fired_rule_count == 2
 
 
 def test_infer_out_of_domain_rejected():
@@ -271,17 +293,26 @@ def test_concurrent_inference_is_consistent(default_fis):
         for i in range(41)
         for j in range(41)
     ]
-    baseline = [infer(default_fis, p).raw for p in points]
+    baseline = [infer(default_fis, p) for p in points]
+    # a system no thread has inferred with yet, so the threads race to
+    # build its lazy cell tables and fill its candidate memo
+    fresh = parse_fis(default_fis_text())
     failures = []
 
     def worker():
         for p, expected in zip(points, baseline):
-            if infer(default_fis, p).raw != expected:
+            if infer(fresh, p) != expected:
                 failures.append(p)
 
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not failures

@@ -1,16 +1,17 @@
 """Property tests over random systems and region models.
 
-Systems come from ``helpers.random_fis`` seeded by hypothesis, and each one
-is run under both AND operators.  ``infer`` must agree with the independent
-brute-force evaluator.  Every cell of a random two-input surface, and
-``classify`` at that cell, reach the kernel without going through ``infer``:
-both must be bit-identical to pointwise inference, and ``classify`` must
-round, clamp and flag boundaries and anomalies by its rule.  ``ingest`` must read back exactly what ``csv.writer``
-wrote, and what ``label_csv`` wrote from it.  ``generate_rules``, which
-counts core samples per axis, must give the rules or the conflict that
-asking the region oracle at every sample gives.  ``build_fis`` must turn
-any parseable ``.fis`` text into a system or into positioned errors, and
-nothing else.
+Systems come from ``helpers.random_fis`` seeded by hypothesis, and from
+``coinciding_systems``, whose breakpoints coincide; each one is run under
+both AND operators.  ``infer`` must agree with the independent brute-force
+evaluator, on and 1 ulp around every breakpoint too.  Every cell of a random
+two-input surface, and ``classify`` at that cell, reach the kernel without
+going through ``infer``: both must be bit-identical to pointwise inference,
+and ``classify`` must round, clamp and flag boundaries and anomalies by its
+rule.  ``ingest`` must read back exactly what ``csv.writer`` wrote, and what
+``label_csv`` wrote from it.  ``generate_rules``, which counts core samples
+per axis, must give the rules or the conflict that asking the region oracle
+at every sample gives.  ``build_fis`` must turn any parseable ``.fis`` text
+into a system or into positioned errors, and nothing else.
 """
 
 import csv
@@ -44,25 +45,77 @@ def system(seed: int, operator: str, **sizes) -> fz.SugenoFis:
 
 
 def coordinate(var: fz.FuzzyVariable):
-    """A value in the variable's domain: anywhere, or on a breakpoint, where
-    plateaus, ramps and shoulders meet."""
+    """A value in the variable's domain: anywhere, on a breakpoint or a
+    domain end, where plateaus, ramps, shoulders and cells meet, or 1 ulp to
+    either side of one."""
     lo, hi = var.domain
-    breakpoints = sorted({p for _, mf in var.terms for p in (mf.a, mf.b, mf.c, mf.d)})
+    ends = {lo, hi, *(p for _, mf in var.terms for p in (mf.a, mf.b, mf.c, mf.d))}
+    near = {q for p in ends for q in (math.nextafter(p, lo), p, math.nextafter(p, hi))}
     return st.one_of(
         st.floats(min_value=lo, max_value=hi, allow_nan=False),
-        st.sampled_from(breakpoints + [lo, hi]),
+        st.sampled_from(sorted(near)),
     )
 
 
-@PROPERTY_SETTINGS
-@given(seed=seeds, operator=operators, data=st.data())
-def test_infer_matches_brute_force(seed, operator, data):
-    fis = system(seed, operator)
+def check_against_brute_force(fis: fz.SugenoFis, data) -> None:
     point = {var.name: data.draw(coordinate(var), label=var.name) for var in fis.inputs}
     result = fz.infer(fis, point)
     expected, fired = brute_force_raw(fis, point)
     assert result.fired_rule_count == fired
     assert abs(result.raw - expected) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, operator=operators, data=st.data())
+def test_infer_matches_brute_force(seed, operator, data):
+    check_against_brute_force(system(seed, operator), data)
+
+
+def lattice(start: float = 0.0):
+    return st.integers(min_value=int(start), max_value=6).map(float)
+
+
+@st.composite
+def coinciding_systems(draw):
+    """Systems of 1 to 3 inputs on the domain [0, 6] whose breakpoints lie
+    on the integers, so they coincide: a == b, c == d, supports ending on
+    the domain ends, and (chained) one term's a on the previous term's d.
+    Rules may omit any input, all of them included."""
+    inputs = []
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        mfs = []
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            if mfs and draw(st.booleans()):
+                start = mfs[-1].d
+                rest = draw(st.lists(lattice(start), min_size=3, max_size=3))
+                mfs.append(fz.TrapezoidMF(start, *sorted(rest)))
+            else:
+                points = draw(st.lists(lattice(), min_size=4, max_size=4))
+                mfs.append(fz.TrapezoidMF(*sorted(points)))
+        terms = tuple((f"T{j}", mf) for j, mf in enumerate(mfs))
+        inputs.append(fz.FuzzyVariable(f"V{i}", "", (0.0, 6.0), terms))
+    rules = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        antecedent = tuple(
+            (var.name, draw(st.sampled_from(var.term_names())))
+            for var in inputs
+            if draw(st.booleans())
+        )
+        consequent = float(draw(st.integers(min_value=1, max_value=6)))
+        rules.setdefault(frozenset(antecedent), fz.Rule(antecedent, consequent))
+    return fz.SugenoFis(
+        inputs=tuple(inputs),
+        output_name="Out",
+        output_domain=(0.0, 6.0),
+        rules=tuple(rules.values()),
+        and_operator=draw(operators),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(fis=coinciding_systems(), data=st.data())
+def test_infer_matches_brute_force_where_breakpoints_coincide(fis, data):
+    check_against_brute_force(fis, data)
 
 
 @PROPERTY_SETTINGS
