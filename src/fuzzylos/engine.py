@@ -216,9 +216,9 @@ class SugenoFis:
     it finds (a consequent is checked only against a non-empty output domain)
     and compiles each rule to ``(((input index, term index), ...),
     consequent)`` for the inference kernel; ``dataclasses.replace`` builds,
-    and so compiles, a new system.  The rule masks and the candidate memo
-    are built on the first inference.  A system without rules is valid (rule
-    generation starts from one); ``check_rules`` refuses it for inference.
+    and so compiles, a new system.  The candidate memo is filled by
+    inference.  A system without rules is valid (rule generation starts
+    from one); ``check_rules`` refuses it for inference.
     """
 
     inputs: tuple[FuzzyVariable, ...]
@@ -295,29 +295,14 @@ class SugenoFis:
         key, so a race at worst computes one twice."""
         return {}
 
-    @cached_property
-    def _masks(self) -> tuple[tuple[list[int], int], ...]:
-        """Per input: a rule bitmask for each term (bit k for a rule with a
-        clause naming it), and one for the rules with no clause on it."""
-        by_term = [[0] * len(var.terms) for var in self.inputs]
-        for k, (clauses, _) in enumerate(self._compiled):
-            for var_index, term_index in clauses:
-                by_term[var_index][term_index] |= 1 << k
-        every = (1 << len(self._compiled)) - 1
-        # a rule has at most one clause per input, so an input's term masks
-        # are disjoint and their sum is the rules that name the input
-        return tuple((masks, every - sum(masks)) for masks in by_term)
-
     def _candidate_rules(self, cells: tuple[int, ...]) -> tuple:
-        """The compiled rules whose every clause names a term active in its
-        input's cell: the AND over inputs of the OR of the active terms' masks."""
-        mask = -1
-        for var, (by_term, free), cell in zip(self.inputs, self._masks, cells):
-            allowed = free
-            for j, _ in var._cells[1][cell]:
-                allowed |= by_term[j]
-            mask &= allowed
-        return tuple(rule for k, rule in enumerate(self._compiled) if mask >> k & 1)
+        """The compiled rules, in rule order, whose every clause names a term
+        active in its input's cell; a rule without a clause on an input
+        passes on it."""
+        active = [{j for j, _ in var._cells[1][cell]} for var, cell in zip(self.inputs, cells)]
+        return tuple(
+            rule for rule in self._compiled if all(j in active[i] for i, j in rule[0])
+        )
 
 
 def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:

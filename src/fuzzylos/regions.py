@@ -102,8 +102,8 @@ class LosRegionModel:
         if self.lanes < 1:
             raise RegionError(f"lane count must be positive, got {self.lanes}", ("lanes",))
         for k, (level, _) in enumerate(self.regions):
-            if level not in LOS_DESCRIPTIONS:
-                raise RegionError(f"level of service must be 1..6, got {level}", ("regions", k))
+            if type(level) is not int or level not in LOS_DESCRIPTIONS:
+                raise RegionError(f"level of service must be 1..6, got {level!r}", ("regions", k))
         for i, (level_a, a) in enumerate(self.regions):
             for k, (level_b, b) in enumerate(self.regions[i + 1:], start=i + 1):
                 if a.overlaps(b):

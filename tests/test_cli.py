@@ -150,6 +150,14 @@ class TestEvaluate:
         assert code == 0
         assert "mismatches:     1" in out
 
+    def test_bad_rows_are_skipped_on_stderr(self, capsys, tmp_path):
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(HEADER + "t0,65.0,700\nt1,oops,700\n", encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", str(csv_path))
+        assert code == 0
+        assert err == "skipped: line 3: speed_kmh 'oops' is not a number\n"
+        assert "evaluated:      1" in out
+
     def test_empty_dataset_is_exit_2(self, capsys, tmp_path):
         csv_path = tmp_path / "empty.csv"
         csv_path.write_text(HEADER, encoding="utf-8")

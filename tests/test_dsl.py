@@ -83,7 +83,11 @@ def test_syntax_error_carries_line_and_column():
      "line 2, column 3: duplicate and_operator directive"),
     ("variable input X domain 0 10\n  rule\n", "line 2, column 7: expected 'IF', got end of line"),
     ("variable input X [a b domain 0 1\n", "line 1, column 21: expected ']', got 'b'"),
-], ids=["unknown", "mf-first", "duplicate-set", "bare-rule", "unclosed-unit"])
+    ("variable input 5 domain 0 1\n", "line 1, column 16: expected a variable name, got '5'"),
+    ("variable input X domain 0 " + "9" * 400 + "\n",
+     "line 1, column 27: number " + "9" * 24 + "... is too large"),
+], ids=["unknown", "mf-first", "duplicate-set", "bare-rule", "unclosed-unit", "numeric-name",
+        "huge-number"])
 def test_statement_head_errors(source, message):
     with pytest.raises(ParseError) as info:
         parse(source)

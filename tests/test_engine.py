@@ -192,6 +192,9 @@ def test_fis_validation_reports_every_problem_at_its_location():
     ]
     assert info.value.problems[-1][1] == "rule repeats the antecedent of rule 2"
     assert str(info.value) == "; ".join(message for _, message in info.value.problems)
+    with pytest.raises(FisConfigError) as info:
+        dataclasses.replace(fis, and_operator="max")
+    assert info.value.problems == ((("and_operator",), "unknown AND operator 'max'"),)
 
 
 def test_an_empty_output_domain_hides_consequent_problems():
@@ -287,6 +290,28 @@ def test_matches_brute_force_on_random_systems():
             assert result.raw == pytest.approx(expected, abs=1e-12)
 
 
+def memo_entry(fis, cells):
+    """The candidate memo entry for a tuple of cells, worked out from the
+    rules, the term supports and the cuts at every support end: the compiled
+    rules, in rule order, whose every term's closed support meets its cell."""
+    entry = []
+    for rule in fis.rules:
+        clauses = []
+        for var_name, term_name in rule.antecedent:
+            i = [var.name for var in fis.inputs].index(var_name)
+            var = fis.inputs[i]
+            cuts = sorted({*var.domain, *(p for _, mf in var.terms for p in (mf.a, mf.d))})
+            left, right = cuts[cells[i]], cuts[cells[i] + 1]
+            j = var.term_names().index(term_name)
+            mf = var.terms[j][1]
+            if not (mf.a <= right and left <= mf.d):
+                break
+            clauses.append((i, j))
+        else:
+            entry.append((tuple(clauses), rule.consequent))
+    return tuple(entry)
+
+
 def test_concurrent_inference_is_consistent(default_fis):
     points = [
         {"TrafficFlow": 6000.0 * i / 40.0, "Speed": 80.0 * j / 40.0}
@@ -316,3 +341,9 @@ def test_concurrent_inference_is_consistent(default_fis):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
+    # every entry the threads published is a finished tuple, not a
+    # sequence another thread was still filling
+    assert fresh._candidates
+    for cells, candidates in fresh._candidates.items():
+        assert type(candidates) is tuple
+        assert candidates == memo_entry(fresh, cells)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import random
 from datetime import datetime
@@ -27,6 +28,7 @@ from fuzzylos import (
 )
 
 HEADER = "timestamp,speed_kmh,flow_vph\n"
+OVERLONG = "x" * (csv.field_size_limit() + 1)  # a field the csv module refuses
 
 
 class TestIngest:
@@ -51,6 +53,13 @@ class TestIngest:
             ingest("a,b,c\n1,2,3\n")
         with pytest.raises(IngestError):
             ingest("")
+        with pytest.raises(IngestError, match=r"^line 1: unparseable CSV \("):
+            ingest(OVERLONG + "\n")
+
+    def test_an_unparseable_record_is_a_row_error(self):
+        rows, errors = ingest(HEADER + OVERLONG + ",1,2\nt1,62.0,1200\n")
+        assert rows == [Measurement("t1", 62.0, 1200.0)]
+        assert len(errors) == 1 and errors[0].startswith("line 2: unparseable CSV (")
 
     def test_non_numeric_and_non_finite_rejected(self):
         text = HEADER + "t0,fast,1200\nt1,nan,100\nt2,inf,100\nt3,50,1e400\n"
@@ -151,6 +160,12 @@ class TestSyntheticData:
             share = counts[level] / 4000
             expected = areas[level] / total_area
             assert abs(share - expected) < 0.03
+
+    def test_a_single_rectangle_has_no_edge_to_cross(self):
+        model = LosRegionModel(((2, Rect(0, 100, 0, 10)),))
+        data = generate_synthetic(model, 200, seed=1)
+        assert len(data) == 200
+        assert {oracle_label(model, m.flow, m.speed) for m in data} == {2}
 
     def test_positive_count_required(self, default_model):
         with pytest.raises(ValueError):
@@ -292,11 +307,14 @@ class TestEvaluate:
         report.confusion[0][:2] = [3797, 28]
         assert (report.points, report.total, report.mismatches) == (3825, 3825, 28)
         assert f"{report.accuracy:.2%}" == "99.27%"
+        assert fz.EvaluationReport().accuracy == 0.0
 
     def test_render_and_dict(self, default_fis, default_model):
-        report = evaluate(default_fis, default_model, [Measurement("t", 65.0, 700.0)])
+        data = [Measurement("t", 65.0, 700.0), Measurement("u", 65.0, 7000.0)]
+        report = evaluate(default_fis, default_model, data)
         text = report.render()
         assert "accuracy" in text and "confusion" in text
+        assert text.splitlines()[-1] == f"error: {report.errors[0]}"
         payload = report.to_dict()
         assert payload["total"] == 1
         assert payload["confusion"][0][0] == 1
@@ -359,6 +377,10 @@ class TestLabelCsv:
     def test_bad_number_is_an_ingest_error(self, default_model):
         with pytest.raises(IngestError, match="line 3: speed_kmh 'oops' is not a number"):
             label_csv(default_model, HEADER + "t0,62.0,1200\nt1,oops,600\n")
+
+    def test_an_unparseable_record_is_an_ingest_error_at_its_line(self, default_model):
+        with pytest.raises(IngestError, match=r"^line 2: unparseable CSV \("):
+            label_csv(default_model, HEADER + OVERLONG + ",1,2\nt1,62.0,1200\n")
 
     def test_row_outside_the_envelope_is_an_ingest_error_at_its_line(self, default_model):
         text = HEADER + "t1,62.0,1200\n\n\"t\n2\",62.0,7000\nt3,62.0,1200\n"

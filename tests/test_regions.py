@@ -73,6 +73,10 @@ def test_region_model_errors_locate_their_argument():
         (dict(regions=(ok,), lanes=0), ("lanes",), "lane count must be positive, got 0"),
         (dict(regions=(ok, (7, Rect(10, 20, 0, 10)))), ("regions", 1),
          "level of service must be 1..6, got 7"),
+        (dict(regions=(ok, (1.0, Rect(10, 20, 0, 10)))), ("regions", 1),
+         "level of service must be 1..6, got 1.0"),
+        (dict(regions=((True, Rect(0, 6000, 0, 80)),)), ("regions", 0),
+         "level of service must be 1..6, got True"),
         (dict(regions=(ok, (3, Rect(20, 30, 0, 10)), (2, Rect(5, 15, 5, 15)))),
          ("regions", 2), "rectangles for LoS 1 and LoS 2 overlap"),
     ]
