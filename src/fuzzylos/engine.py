@@ -230,6 +230,13 @@ class SugenoFis:
     _compiled: tuple[tuple[tuple[tuple[int, int], ...], float], ...] = field(
         init=False, repr=False, compare=False
     )
+    # Memo from a tuple of cells, one per input, to its candidate compiled
+    # rules in rule order; at most one entry per cell product.  Threads fill
+    # it without a lock: an entry is a pure function of its key, so a race at
+    # worst computes one twice.
+    _candidates: dict[tuple[int, ...], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         problems: list[tuple[Location, str]] = []
@@ -286,14 +293,6 @@ class SugenoFis:
         """Raise FisConfigError if the system has no rule to infer with."""
         if not self.rules:
             raise FisConfigError("cannot infer with an empty rule base")
-
-    @cached_property
-    def _candidates(self) -> dict[tuple[int, ...], tuple]:
-        """Memo from a tuple of cells, one per input, to its candidate
-        compiled rules in rule order; at most one entry per cell product.
-        Threads fill it without a lock: an entry is a pure function of its
-        key, so a race at worst computes one twice."""
-        return {}
 
     def _candidate_rules(self, cells: tuple[int, ...]) -> tuple:
         """The compiled rules, in rule order, whose every clause names a term

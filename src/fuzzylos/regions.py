@@ -4,8 +4,10 @@ The ground truth for a street is a set of pairwise disjoint rectangles in
 (flow, speed) space, each carrying a level of service from 1 (free flow) to
 6 (congested).  Containment is half open, closed on the low edge, except
 that a rectangle touching the model's outer envelope keeps its high edge, so
-every in-domain point belongs to at most one rectangle.  ``.los`` files are
-read with the ``.fis`` line lexer of ``dsl``.
+every in-domain point belongs to at most one rectangle.  The model decides
+those closed edges once, at construction; the oracle and rule generation
+then test plain half-open boxes.  ``.los`` files are read with the ``.fis``
+line lexer of ``dsl``.
 
 Classification rounds a two-input system's output to a level.
 ``classifier`` checks the system once and returns the per-point function
@@ -85,9 +87,12 @@ class LosRegionModel:
     """Disjoint (level, rectangle) pairs plus lane-count provenance.
 
     The model's domain is the bounding envelope of its rectangles, computed
-    once at construction as ``flow_domain`` and ``speed_domain``; a rectangle
-    edge that coincides with the envelope maximum is treated as closed so
-    envelope-boundary points stay labeled.
+    once at construction as ``flow_domain`` and ``speed_domain``.  The model
+    also decides its closed edges once: a rectangle edge that coincides with
+    the envelope maximum is closed, so envelope-boundary points stay labeled.
+    ``_boxes`` holds each pair as a half-open box ``(level, flow_lo, flow_hi,
+    speed_lo, speed_hi)`` whose closed high edges moved up one float: for
+    every float x, ``x <= hi`` exactly when ``x < nextafter(hi, inf)``.
     """
 
     regions: tuple[tuple[int, Rect], ...]
@@ -95,12 +100,15 @@ class LosRegionModel:
 
     flow_domain: tuple[float, float] = field(init=False, repr=False, compare=False)
     speed_domain: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _boxes: tuple[tuple[int, float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.regions:
             raise RegionError("a region model needs at least one rectangle")
-        if self.lanes < 1:
-            raise RegionError(f"lane count must be positive, got {self.lanes}", ("lanes",))
+        if type(self.lanes) is not int or self.lanes < 1:
+            raise RegionError(f"lane count must be positive, got {self.lanes!r}", ("lanes",))
         for k, (level, _) in enumerate(self.regions):
             if type(level) is not int or level not in LOS_DESCRIPTIONS:
                 raise RegionError(f"level of service must be 1..6, got {level!r}", ("regions", k))
@@ -112,14 +120,16 @@ class LosRegionModel:
                         ("regions", k),
                     )
         rects = [r for _, r in self.regions]
-        object.__setattr__(
-            self, "flow_domain",
-            (min(r.flow_lo for r in rects), max(r.flow_hi for r in rects)),
-        )
-        object.__setattr__(
-            self, "speed_domain",
-            (min(r.speed_lo for r in rects), max(r.speed_hi for r in rects)),
-        )
+        flow_hi = max(r.flow_hi for r in rects)
+        speed_hi = max(r.speed_hi for r in rects)
+        object.__setattr__(self, "flow_domain", (min(r.flow_lo for r in rects), flow_hi))
+        object.__setattr__(self, "speed_domain", (min(r.speed_lo for r in rects), speed_hi))
+        flow_top, speed_top = math.nextafter(flow_hi, math.inf), math.nextafter(speed_hi, math.inf)
+        object.__setattr__(self, "_boxes", tuple(
+            (level, r.flow_lo, flow_top if r.flow_hi == flow_hi else r.flow_hi,
+             r.speed_lo, speed_top if r.speed_hi == speed_hi else r.speed_hi)
+            for level, r in self.regions
+        ))
 
     def contains(self, flow: float, speed: float) -> bool:
         flo, fhi = self.flow_domain
@@ -131,9 +141,13 @@ def oracle_label(model: LosRegionModel, flow: float, speed: float) -> int | None
     """Level of the unique rectangle containing the point, or None (unlabeled).
 
     Rectangles are half open (closed low edge); an edge lying on the model
-    envelope's maximum is closed.  Points outside the envelope raise
-    OutOfDomainError.
+    envelope's maximum is closed, which the model's boxes already encode.
+    Points outside the envelope raise OutOfDomainError; no box reaches past
+    the envelope, so the check waits until no box holds the point.
     """
+    for level, flow_lo, flow_hi, speed_lo, speed_hi in model._boxes:
+        if flow_lo <= flow < flow_hi and speed_lo <= speed < speed_hi:
+            return level
     if not model.contains(flow, speed):
         flo, fhi = model.flow_domain
         slo, shi = model.speed_domain
@@ -141,17 +155,6 @@ def oracle_label(model: LosRegionModel, flow: float, speed: float) -> int | None
             f"point (flow={flow}, speed={speed}) outside model domain "
             f"[{flo}, {fhi}] x [{slo}, {shi}]"
         )
-    _, env_flow_hi = model.flow_domain
-    _, env_speed_hi = model.speed_domain
-    for level, rect in model.regions:
-        flow_ok = rect.flow_lo <= flow < rect.flow_hi or (
-            flow == rect.flow_hi == env_flow_hi
-        )
-        speed_ok = rect.speed_lo <= speed < rect.speed_hi or (
-            speed == rect.speed_hi == env_speed_hi
-        )
-        if flow_ok and speed_ok:
-            return level
     return None
 
 

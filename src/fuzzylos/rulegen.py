@@ -2,8 +2,8 @@
 
 For every (flow term, speed term) pair the generator takes an even grid of
 samples over the pair's half-cut core, the sub-rectangle where both
-membership degrees are at least 0.5, and counts the samples each region
-rectangle labels: a product of per-axis counts, since rectangles are
+membership degrees are at least 0.5, and counts the samples each of the
+model's boxes holds: a product of per-axis counts, since the boxes are
 disjoint products of half-open intervals.  Pairs with no labeled sample
 produce no rule and stay anomaly zones; pairs whose labeled samples agree on
 one level (up to the agreement threshold) produce a rule with that level as
@@ -13,7 +13,7 @@ membership functions that do not fit the regions.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from functools import partial
 
@@ -40,20 +40,16 @@ def half_cut(mf: TrapezoidMF) -> tuple[float, float]:
     return ((mf.a + mf.b) / 2.0, (mf.c + mf.d) / 2.0)
 
 
-def _axis_counts(
-    mf: TrapezoidMF, intervals: list[tuple[float, float]], envelope_hi: float, grid: int
-) -> list[int]:
+def _axis_counts(mf: TrapezoidMF, intervals: list[tuple[float, float]], grid: int) -> list[int]:
     """Per [lo, hi) interval, how many of the term's ``grid`` core samples it
-    holds, found by binary search; an interval ending on the envelope
-    maximum is closed, as in ``oracle_label``.  A point core is a one-sample
-    grid, whose only sample ``grid_value`` returns as the point itself."""
+    holds, found by binary search.  A point core is a one-sample grid, whose
+    only sample ``grid_value`` returns as the point itself."""
     core_lo, core_hi = half_cut(mf)
     steps = 1 if core_lo == core_hi else grid
     samples = range(steps)
     key = partial(grid_value, core_lo, core_hi, steps)
     return [
-        (bisect_right if hi == envelope_hi else bisect_left)(samples, hi, key=key)
-        - bisect_left(samples, lo, key=key)
+        bisect_left(samples, hi, key=key) - bisect_left(samples, lo, key=key)
         for lo, hi in intervals
     ]
 
@@ -82,16 +78,13 @@ def generate_rules(
     if grid < 2:
         raise ValueError(f"grid resolution must be at least 2, got {grid}")
 
-    levels = [level for level, _ in model.regions]
-    flow_intervals = [(rect.flow_lo, rect.flow_hi) for _, rect in model.regions]
-    speed_intervals = [(rect.speed_lo, rect.speed_hi) for _, rect in model.regions]
-    speed_counts = [
-        _axis_counts(mf, speed_intervals, model.speed_domain[1], grid)
-        for _, mf in speed_var.terms
-    ]
+    levels = [box[0] for box in model._boxes]
+    flow_intervals = [box[1:3] for box in model._boxes]
+    speed_intervals = [box[3:] for box in model._boxes]
+    speed_counts = [_axis_counts(mf, speed_intervals, grid) for _, mf in speed_var.terms]
     rules: list[Rule] = []
     for flow_term, flow_mf in flow_var.terms:
-        flow_counts = _axis_counts(flow_mf, flow_intervals, model.flow_domain[1], grid)
+        flow_counts = _axis_counts(flow_mf, flow_intervals, grid)
         for (speed_term, _), speed_count in zip(speed_var.terms, speed_counts):
             counts: Counter[int] = Counter()
             for level, n_flow, n_speed in zip(levels, flow_counts, speed_count):

@@ -1,0 +1,38 @@
+"""The package stays dependency free: ``src/fuzzylos`` imports only the
+standard library, and ``pyproject.toml`` declares ``dependencies = []``.
+
+``pyproject.toml`` is read with a plain text match, since ``tomllib`` is
+missing before Python 3.11.
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted((ROOT / "src" / "fuzzylos").glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}: {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []
+
+
+def test_pyproject_declares_no_dependencies():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r"^dependencies\s*=.*$", text, re.MULTILINE) == ["dependencies = []"]

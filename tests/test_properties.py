@@ -8,10 +8,12 @@ two-input surface, and ``classify`` at that cell, reach the kernel without
 going through ``infer``: both must be bit-identical to pointwise inference,
 and ``classify`` must round, clamp and flag boundaries and anomalies by its
 rule.  ``ingest`` must read back exactly what ``csv.writer`` wrote, and what
-``label_csv`` wrote from it.  ``generate_rules``, which counts core samples
-per axis, must give the rules or the conflict that asking the region oracle
-at every sample gives.  ``build_fis`` must turn any parseable ``.fis`` text
-into a system or into positioned errors, and nothing else.
+``label_csv`` wrote from it.  ``oracle_label`` must follow the containment
+rule on, and 1 ulp to either side of, every rectangle edge and envelope
+corner of a random region model.  ``generate_rules``, which counts core
+samples per axis, must give the rules or the conflict that asking the region
+oracle at every sample gives.  ``build_fis`` must turn any parseable ``.fis``
+text into a system or into positioned errors, and nothing else.
 """
 
 import csv
@@ -169,6 +171,37 @@ def region_models(draw):
             if level is not None
         )
     )
+
+
+def one_ulp_around(values) -> list[float]:
+    """Each value and the floats next to it on either side."""
+    return sorted({
+        q for p in values for q in (math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf))
+    })
+
+
+@PROPERTY_SETTINGS
+@given(model=region_models())
+def test_oracle_label_on_and_one_ulp_around_every_edge(model):
+    (flow_lo, flow_hi), (speed_lo, speed_hi) = model.flow_domain, model.speed_domain
+    # the envelope's ends are rectangle edges, so its corners are among the points
+    flows = one_ulp_around(p for _, r in model.regions for p in (r.flow_lo, r.flow_hi))
+    speeds = one_ulp_around(p for _, r in model.regions for p in (r.speed_lo, r.speed_hi))
+    for flow in flows:
+        for speed in speeds:
+            if not (flow_lo <= flow <= flow_hi and speed_lo <= speed <= speed_hi):
+                with pytest.raises(fz.OutOfDomainError):
+                    fz.oracle_label(model, flow, speed)
+                continue
+            # half open, but a high edge on the envelope maximum is closed
+            owners = [
+                level
+                for level, r in model.regions
+                if (r.flow_lo <= flow < r.flow_hi or flow == r.flow_hi == flow_hi)
+                and (r.speed_lo <= speed < r.speed_hi or speed == r.speed_hi == speed_hi)
+            ]
+            assert len(owners) <= 1
+            assert fz.oracle_label(model, flow, speed) == (owners[0] if owners else None)
 
 
 def trapezoids(breakpoints: int):

@@ -71,6 +71,9 @@ def test_region_model_errors_locate_their_argument():
     ok = (1, Rect(0, 10, 0, 10))
     cases = [
         (dict(regions=(ok,), lanes=0), ("lanes",), "lane count must be positive, got 0"),
+        (dict(regions=(ok,), lanes=2.5), ("lanes",), "lane count must be positive, got 2.5"),
+        (dict(regions=(ok,), lanes=True), ("lanes",), "lane count must be positive, got True"),
+        (dict(regions=(ok,), lanes="3"), ("lanes",), "lane count must be positive, got '3'"),
         (dict(regions=(ok, (7, Rect(10, 20, 0, 10)))), ("regions", 1),
          "level of service must be 1..6, got 7"),
         (dict(regions=(ok, (1.0, Rect(10, 20, 0, 10)))), ("regions", 1),
