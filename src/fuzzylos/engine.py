@@ -15,9 +15,9 @@ lazily, on the first inference, so a system that is only parsed, serialized
 or replaced pays nothing for them.  Inference fuzzifies each input once, in
 ``FuzzyVariable.degrees``, which owns the domain check and finds the cell, and
 fires the cells' candidate rules in one kernel, the only code that evaluates
-a rule.  ``infer``, ``regions.classifier`` and ``pipeline.surface_grid``
-share both, so a classification or a surface cell is bit-identical to
-pointwise inference.
+a rule.  ``infer``, ``regions.classifier`` and the surface row producer of
+``pipeline`` share both, so a classification or a surface cell is
+bit-identical to pointwise inference.
 """
 
 from __future__ import annotations
@@ -345,6 +345,8 @@ def _infer_degrees(
     so it is checked, and raises FisConfigError, only when no rule fired.
     The clamp into [min, max] of the fired consequents is also what makes a
     lone fired rule return its consequent exactly (a -0.0 comes back as 0.0).
+    The range is kept as it runs; strict comparisons keep the first of equal
+    consequents, as ``min`` and ``max`` do, so 0.0 and -0.0 stay apart.
     """
     candidates = fis._candidates.get(cells)
     if candidates is None:
@@ -352,7 +354,7 @@ def _infer_degrees(
     use_min = fis.and_operator == "min"
     weights: list[float] = []
     contributions: list[float] = []
-    consequents: list[float] = []
+    c_min, c_max = math.inf, -math.inf
     for clauses, consequent in candidates:
         w = 1.0
         for var_index, term_index in clauses:
@@ -367,12 +369,15 @@ def _infer_degrees(
         if w > 0.0:
             weights.append(w)
             contributions.append(w * consequent)
-            consequents.append(consequent)
+            if consequent < c_min:
+                c_min = consequent
+            if consequent > c_max:
+                c_max = consequent
 
     if not weights:
         fis.check_rules()
         return 0.0, 0, 0.0
 
     total = math.fsum(weights)
-    raw = min(max(math.fsum(contributions) / total, min(consequents)), max(consequents))
+    raw = min(max(math.fsum(contributions) / total, c_min), c_max)
     return raw, len(weights), total

@@ -313,42 +313,72 @@ def evaluate(
     return report
 
 
-def surface_grid(fis: SugenoFis, flow_steps: int, speed_steps: int):
-    """Yield (flow, speed, InferenceResult) over an inclusive even grid,
-    flow-major, whose last values are the domain maxima themselves.
+def _surface_rows(
+    fis: SugenoFis, flow_steps: int, speed_steps: int
+) -> tuple[list[float], Iterator[tuple[float, list[tuple[float, int, float]]]]]:
+    """The one producer of surfaces: check the arguments, then return the
+    grid's speeds and an iterator of its rows, flow ascending, each
+    ``(flow, results)`` with the kernel's ``(raw, fired_rule_count,
+    total_strength)`` for every speed.
 
-    The grid is separable: each speed value and each flow row is fuzzified
-    once, domain check and cell lookup included, and every cell goes
-    through the kernel ``infer`` uses, so each cell is bit-identical to
-    pointwise inference.
-    The system must have exactly two inputs, flow first (FisConfigError
-    otherwise), and an empty rule base raises from the first cell.
+    Both axes are inclusive even grids whose last values are the domain
+    maxima themselves.  The checks run here, not at the first row: step
+    counts that are not ints of at least 2 raise ValueError, and a system
+    without exactly two inputs (flow first) or without rules raises
+    FisConfigError.  Each speed is fuzzified once and each flow once, domain
+    check and cell lookup included, and every cell goes through the kernel
+    ``infer`` uses, so each cell is bit-identical to pointwise inference.
     """
-    if flow_steps < 2 or speed_steps < 2:
+    if not all(type(steps) is int and steps >= 2 for steps in (flow_steps, speed_steps)):
         raise ValueError("surface export needs at least 2 steps per axis")
     flow_var, speed_var = los_inputs(fis)
-    flo, fhi = flow_var.domain
-    slo, shi = speed_var.domain
-    flows = [grid_value(flo, fhi, flow_steps, i) for i in range(flow_steps)]
-    speeds = [grid_value(slo, shi, speed_steps, j) for j in range(speed_steps)]
+    fis.check_rules()
+    speeds = [grid_value(*speed_var.domain, speed_steps, j) for j in range(speed_steps)]
     speed_cells = [speed_var._cell_degrees(speed) for speed in speeds]
-    for flow in flows:
-        flow_cell, flow_degrees = flow_var._cell_degrees(flow)
-        for speed, (speed_cell, degrees) in zip(speeds, speed_cells):
-            yield flow, speed, InferenceResult(
-                *_infer_degrees(fis, (flow_cell, speed_cell), (flow_degrees, degrees))
-            )
+
+    def rows():
+        for i in range(flow_steps):
+            flow = grid_value(*flow_var.domain, flow_steps, i)
+            flow_cell, flow_degrees = flow_var._cell_degrees(flow)
+            yield flow, [
+                _infer_degrees(fis, (flow_cell, speed_cell), (flow_degrees, degrees))
+                for speed_cell, degrees in speed_cells
+            ]
+
+    return speeds, rows()
+
+
+def surface_grid(
+    fis: SugenoFis, flow_steps: int, speed_steps: int
+) -> Iterator[tuple[float, float, InferenceResult]]:
+    """Yield (flow, speed, InferenceResult) for every cell of the surface
+    ``export_surface`` writes, flow-major.  The arguments are checked, and
+    raise, when this is called, not when the first cell is taken."""
+    speeds, rows = _surface_rows(fis, flow_steps, speed_steps)
+    return (
+        (flow, speed, InferenceResult(*result))
+        for flow, results in rows
+        for speed, result in zip(speeds, results)
+    )
 
 
 def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
     """Render the raw inference surface as CSV ``flow_vph,speed_kmh,raw_los``.
 
     Values are raw, not rounded, so anomaly zones show up as the zero
-    plateau.  Numbers use repr, the shortest round-trip form.
+    plateau.  Numbers use repr, the shortest round-trip form; each speed and
+    each flow is formatted once, and each row joined once.  Arguments are
+    checked as for ``surface_grid``.
     """
+    speeds, rows = _surface_rows(fis, flow_steps, speed_steps)
+    speed_texts = [f",{speed!r}," for speed in speeds]
     lines = ["flow_vph,speed_kmh,raw_los"]
-    for flow, speed, result in surface_grid(fis, flow_steps, speed_steps):
-        lines.append(f"{flow!r},{speed!r},{result.raw!r}")
+    for flow, results in rows:
+        flow_text = repr(flow)
+        lines.append("\n".join([
+            f"{flow_text}{speed_text}{raw!r}"
+            for speed_text, (raw, _, _) in zip(speed_texts, results)
+        ]))
     return "\n".join(lines) + "\n"
 
 

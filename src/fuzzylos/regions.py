@@ -12,7 +12,8 @@ line lexer of ``dsl``.
 Classification rounds a two-input system's output to a level.
 ``classifier`` checks the system once and returns the per-point function
 that ``classify`` and ``pipeline.evaluate`` share; it fuzzifies both inputs
-and fires the engine's kernel directly, as ``pipeline.surface_grid`` does.
+and fires the engine's kernel directly, as the surface row producer of
+``pipeline`` does.
 """
 
 from __future__ import annotations

@@ -63,20 +63,21 @@ def generate_rules(
 ) -> tuple[Rule, ...]:
     """Derive one rule per coherent (flow term, speed term) pair.
 
-    ``grid`` is the number of sample points per axis across each pair's core;
-    the core endpoints are always sampled, and a point core is one sample.
-    The level counts equal asking the region oracle at every sample, but
-    take O(terms * rectangles * log grid) time.  ``agreement`` must lie in
-    (0.5, 1]: the majority level must account for at least that fraction of
-    the labeled samples, otherwise RuleConflictError names the pair.
+    ``grid``, an int of at least 2 (ValueError otherwise), is the number of
+    sample points per axis across each pair's core; the core endpoints are
+    always sampled, and a point core is one sample.  The level counts equal
+    asking the region oracle at every sample, but take O(terms * rectangles
+    * log grid) time.  ``agreement`` must lie in (0.5, 1]: the majority level
+    must account for at least that fraction of the labeled samples,
+    otherwise RuleConflictError names the pair.
 
     The rule order is flow terms outer, speed terms inner, both in
     declaration order.
     """
     if not 0.5 < agreement <= 1.0:
         raise ValueError(f"agreement must lie in (0.5, 1], got {agreement}")
-    if grid < 2:
-        raise ValueError(f"grid resolution must be at least 2, got {grid}")
+    if type(grid) is not int or grid < 2:
+        raise ValueError(f"grid resolution must be at least 2, got {grid!r}")
 
     levels = [box[0] for box in model._boxes]
     flow_intervals = [box[1:3] for box in model._boxes]

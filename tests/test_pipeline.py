@@ -26,6 +26,7 @@ from fuzzylos import (
     oracle_label,
     surface_grid,
 )
+from fuzzylos.engine import grid_value
 
 HEADER = "timestamp,speed_kmh,flow_vph\n"
 OVERLONG = "x" * (csv.field_size_limit() + 1)  # a field the csv module refuses
@@ -340,18 +341,33 @@ class TestSurface:
         assert match and float(match[0][2]) == 1.0
 
     def test_cells_equal_infer_bitwise(self, default_fis):
-        text = export_surface(default_fis, 21, 21)
-        for line in text.strip().splitlines()[1:]:
-            flow_text, speed_text, raw_text = line.split(",")
-            result = infer(
-                default_fis,
-                {"TrafficFlow": float(flow_text), "Speed": float(speed_text)},
-            )
-            assert float(raw_text) == result.raw
+        # whole lines: the coordinate texts too, and a -0.0 never passes for 0.0
+        (flo, fhi), (slo, shi) = (var.domain for var in default_fis.inputs)
+        expected = ["flow_vph,speed_kmh,raw_los"]
+        for i in range(21):
+            flow = grid_value(flo, fhi, 21, i)
+            for j in range(21):
+                speed = grid_value(slo, shi, 21, j)
+                raw = infer(default_fis, {"TrafficFlow": flow, "Speed": speed}).raw
+                expected.append(f"{flow!r},{speed!r},{raw!r}")
+        assert export_surface(default_fis, 21, 21).splitlines() == expected
 
     def test_step_validation(self, default_fis):
-        with pytest.raises(ValueError):
-            export_surface(default_fis, 1, 10)
+        flow_var, speed_var = default_fis.inputs
+        lanes = dataclasses.replace(speed_var, name="Lanes")
+        three_inputs = dataclasses.replace(default_fis, inputs=(flow_var, speed_var, lanes))
+        rule_free = dataclasses.replace(default_fis, rules=())
+        # Each call must raise itself: the cells are never taken.
+        for function, fis, flow_steps, speed_steps, error, message in [
+            (export_surface, default_fis, 1, 10, ValueError, "at least 2 steps"),
+            (export_surface, default_fis, 3.0, 3, ValueError, "at least 2 steps"),
+            (export_surface, default_fis, 3, 2.5, ValueError, "at least 2 steps"),
+            (surface_grid, default_fis, 1, 10, ValueError, "at least 2 steps"),
+            (surface_grid, three_inputs, 5, 5, FisConfigError, "two-input system"),
+            (surface_grid, rule_free, 5, 5, FisConfigError, "empty rule base"),
+        ]:
+            with pytest.raises(error, match=message):
+                function(fis, flow_steps, speed_steps)
 
 
 class TestLabelCsv:

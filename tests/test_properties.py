@@ -7,7 +7,8 @@ evaluator, on and 1 ulp around every breakpoint too.  Every cell of a random
 two-input surface, and ``classify`` at that cell, reach the kernel without
 going through ``infer``: both must be bit-identical to pointwise inference,
 and ``classify`` must round, clamp and flag boundaries and anomalies by its
-rule.  ``ingest`` must read back exactly what ``csv.writer`` wrote, and what
+rule; ``export_surface`` must write exactly those cells, line by line.
+``ingest`` must read back exactly what ``csv.writer`` wrote, and what
 ``label_csv`` wrote from it.  ``oracle_label`` must follow the containment
 rule on, and 1 ulp to either side of, every rectangle edge and envelope
 corner of a random region model.  ``generate_rules``, which counts core
@@ -25,7 +26,7 @@ import struct
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fuzzylos as fz
@@ -143,6 +144,24 @@ def test_surface_cells_are_bit_identical_to_infer(seed, operator, flow_steps, sp
             # consequents span [-10, 20], so the clamp into 1..6 is exercised
             assert rated.level == min(max(math.floor(expected.raw + 0.5), 1), 6)
             assert rated.boundary == (abs(expected.raw - round(expected.raw)) > 0.05)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=seeds,
+    operator=operators,
+    flow_steps=st.integers(min_value=2, max_value=9),
+    speed_steps=st.integers(min_value=2, max_value=9),
+)
+def test_export_surface_writes_the_grid_cell_by_cell(seed, operator, flow_steps, speed_steps):
+    # Unequal step counts, so a row that borrows the other axis' texts shows.
+    assume(flow_steps != speed_steps)
+    fis = system(seed, operator, min_inputs=2, max_inputs=2)
+    cells = fz.surface_grid(fis, flow_steps, speed_steps)
+    expected = "".join(f"{flow!r},{speed!r},{result.raw!r}\n" for flow, speed, result in cells)
+    assert fz.export_surface(fis, flow_steps, speed_steps) == (
+        "flow_vph,speed_kmh,raw_los\n" + expected
+    )
 
 
 # Small integers make core samples land exactly on rectangle edges and on

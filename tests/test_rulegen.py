@@ -98,3 +98,5 @@ def test_parameter_validation(default_model, default_fis):
         generate_rules(default_model, flow_var, speed_var, agreement=1.2)
     with pytest.raises(ValueError):
         generate_rules(default_model, flow_var, speed_var, grid=1)
+    with pytest.raises(ValueError, match="at least 2"):
+        generate_rules(default_model, flow_var, speed_var, grid=3.0)
