@@ -63,17 +63,16 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if bool(args.input) == (args.synthetic is not None):
+        raise ValueError("give either an input CSV or --synthetic N")
     fis = _load_fis_arg(args)
     model = _load_regions_arg(args)
-    if args.synthetic is not None:
-        data = generate_synthetic(model, args.synthetic, args.seed)
-    elif args.input:
-        rows, row_errors = ingest(_read_text(args.input))
+    if args.input:
+        data, row_errors = ingest(_read_text(args.input))
         for message in row_errors:
             print(f"skipped: {message}", file=sys.stderr)
-        data = rows
     else:
-        raise ValueError("give an input CSV or --synthetic N")
+        data = generate_synthetic(model, args.synthetic, args.seed)
     report = evaluate(fis, model, data, args.epsilon)
     _emit(report.render(), args.out)
     if args.out:

@@ -14,10 +14,10 @@ tuple of cells when every clause names an active term.  Both tables are built
 lazily, on the first inference, so a system that is only parsed, serialized
 or replaced pays nothing for them.  Inference fuzzifies each input once, in
 ``FuzzyVariable.degrees``, which owns the domain check and finds the cell, and
-fires the cells' candidate rules in one kernel, the only code that evaluates
-a rule.  ``infer``, ``regions.classifier`` and the surface row producer of
-``pipeline`` share both, so a classification or a surface cell is
-bit-identical to pointwise inference.
+fires the cells' candidate rules in one kernel, ``SugenoFis._fire``, the only
+code that evaluates a rule.  ``infer``, ``regions.classifier`` and the surface
+row producer of ``pipeline`` share both, so a classification or a surface cell
+is bit-identical to pointwise inference.
 """
 
 from __future__ import annotations
@@ -294,14 +294,58 @@ class SugenoFis:
         if not self.rules:
             raise FisConfigError("cannot infer with an empty rule base")
 
-    def _candidate_rules(self, cells: tuple[int, ...]) -> tuple:
-        """The compiled rules, in rule order, whose every clause names a term
-        active in its input's cell; a rule without a clause on an input
-        passes on it."""
-        active = [{j for j, _ in var._cells[1][cell]} for var, cell in zip(self.inputs, cells)]
-        return tuple(
-            rule for rule in self._compiled if all(j in active[i] for i, j in rule[0])
-        )
+    def _fire(
+        self, cells: tuple[int, ...], degrees: Sequence[Sequence[float]]
+    ) -> tuple[float, int, float]:
+        """The inference kernel, the only code that fires a rule: fire the
+        cells' candidate rules on fuzzified inputs and return ``(raw,
+        fired_rule_count, total_strength)``.  It checks nothing; callers
+        check the domain, in ``_cell_degrees``, and the rule base first.
+
+        ``cells[i]`` and ``degrees[i]`` are what ``_cell_degrees`` gives for
+        input i.  The candidates of a cell tuple, built on its first call and
+        published as a finished tuple, are the compiled rules, in rule order,
+        whose every clause names a term active in its input's cell (a rule
+        without a clause on an input passes on it).  They include every rule
+        that can fire there, so a skipped rule has strength 0 and leaves both
+        sums and the clamp range, and so the result, bit for bit unchanged.
+        Each rule conjoins its clauses in order, from 1.0.  The clamp into
+        [min, max] of the fired consequents is also what makes a lone fired
+        rule return its consequent exactly (a -0.0 comes back as 0.0).  The
+        range is kept as it runs; strict comparisons keep the first of equal
+        consequents, as ``min`` and ``max`` do, so 0.0 and -0.0 stay apart.
+        """
+        candidates = self._candidates.get(cells)
+        if candidates is None:
+            active = [{j for j, _ in var._cells[1][cell]} for var, cell in zip(self.inputs, cells)]
+            candidates = self._candidates[cells] = tuple(
+                rule for rule in self._compiled if all(j in active[i] for i, j in rule[0])
+            )
+        use_min = self.and_operator == "min"
+        weights: list[float] = []
+        contributions: list[float] = []
+        c_min, c_max = math.inf, -math.inf
+        for clauses, consequent in candidates:
+            w = 1.0
+            for var_index, term_index in clauses:
+                d = degrees[var_index][term_index]
+                if use_min:
+                    if d < w:
+                        w = d
+                else:
+                    w = w * d
+            if w > 0.0:
+                weights.append(w)
+                contributions.append(w * consequent)
+                if consequent < c_min:
+                    c_min = consequent
+                if consequent > c_max:
+                    c_max = consequent
+        if not weights:
+            return 0.0, 0, 0.0
+        total = math.fsum(weights)
+        raw = min(max(math.fsum(contributions) / total, c_min), c_max)
+        return raw, len(weights), total
 
 
 def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:
@@ -327,57 +371,5 @@ def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:
         cell, var_degrees = var._cell_degrees(values[var.name])
         cells.append(cell)
         degrees.append(var_degrees)
-    return InferenceResult(*_infer_degrees(fis, tuple(cells), degrees))
-
-
-def _infer_degrees(
-    fis: SugenoFis, cells: tuple[int, ...], degrees: Sequence[Sequence[float]]
-) -> tuple[float, int, float]:
-    """The inference kernel: fire the cells' candidate rules on fuzzified
-    inputs and return ``(raw, fired_rule_count, total_strength)``.
-
-    ``cells[i]`` and ``degrees[i]`` are what ``_cell_degrees`` gives for
-    input i.  The candidates are memoised per cell tuple.  They include every
-    rule that can fire there, so a skipped rule has strength 0 and leaves
-    both sums and the clamp range, and so the result, bit for bit unchanged.
-    Each rule conjoins its clauses in order, from 1.0, and stops at the first
-    clause that brings its strength to 0.  An empty rule base fires nothing,
-    so it is checked, and raises FisConfigError, only when no rule fired.
-    The clamp into [min, max] of the fired consequents is also what makes a
-    lone fired rule return its consequent exactly (a -0.0 comes back as 0.0).
-    The range is kept as it runs; strict comparisons keep the first of equal
-    consequents, as ``min`` and ``max`` do, so 0.0 and -0.0 stay apart.
-    """
-    candidates = fis._candidates.get(cells)
-    if candidates is None:
-        candidates = fis._candidates[cells] = fis._candidate_rules(cells)
-    use_min = fis.and_operator == "min"
-    weights: list[float] = []
-    contributions: list[float] = []
-    c_min, c_max = math.inf, -math.inf
-    for clauses, consequent in candidates:
-        w = 1.0
-        for var_index, term_index in clauses:
-            d = degrees[var_index][term_index]
-            if use_min:
-                if d < w:
-                    w = d
-            else:
-                w = w * d
-            if w == 0.0:
-                break
-        if w > 0.0:
-            weights.append(w)
-            contributions.append(w * consequent)
-            if consequent < c_min:
-                c_min = consequent
-            if consequent > c_max:
-                c_max = consequent
-
-    if not weights:
-        fis.check_rules()
-        return 0.0, 0, 0.0
-
-    total = math.fsum(weights)
-    raw = min(max(math.fsum(contributions) / total, c_min), c_max)
-    return raw, len(weights), total
+    fis.check_rules()
+    return InferenceResult(*fis._fire(tuple(cells), degrees))

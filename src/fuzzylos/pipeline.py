@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator
 
-from .engine import InferenceResult, OutOfDomainError, SugenoFis, _infer_degrees, grid_value
+from .engine import InferenceResult, OutOfDomainError, SugenoFis, grid_value
 from .regions import LosRegionModel, classifier, los_inputs, oracle_label
 
 CSV_HEADER = ("timestamp", "speed_kmh", "flow_vph")
@@ -137,8 +137,8 @@ def generate_synthetic(model: LosRegionModel, n: int, seed: int) -> list[Measure
     exercise boundary behavior.  Timestamps run at a 15-minute cadence from
     2023-01-02T00:00:00.  Deterministic for a given seed.
     """
-    if n <= 0:
-        raise ValueError(f"need a positive sample count, got {n}")
+    if type(n) is not int or n <= 0:
+        raise ValueError(f"need a positive sample count, got {n!r}")
     rng = random.Random(seed)
     rects = [rect for _, rect in model.regions]
     areas = [
@@ -335,13 +335,14 @@ def _surface_rows(
     fis.check_rules()
     speeds = [grid_value(*speed_var.domain, speed_steps, j) for j in range(speed_steps)]
     speed_cells = [speed_var._cell_degrees(speed) for speed in speeds]
+    fire = fis._fire
 
     def rows():
         for i in range(flow_steps):
             flow = grid_value(*flow_var.domain, flow_steps, i)
             flow_cell, flow_degrees = flow_var._cell_degrees(flow)
             yield flow, [
-                _infer_degrees(fis, (flow_cell, speed_cell), (flow_degrees, degrees))
+                fire((flow_cell, speed_cell), (flow_degrees, degrees))
                 for speed_cell, degrees in speed_cells
             ]
 

@@ -12,8 +12,8 @@ line lexer of ``dsl``.
 Classification rounds a two-input system's output to a level.
 ``classifier`` checks the system once and returns the per-point function
 that ``classify`` and ``pipeline.evaluate`` share; it fuzzifies both inputs
-and fires the engine's kernel directly, as the surface row producer of
-``pipeline`` does.
+and calls the engine's one kernel, ``SugenoFis._fire``, as ``infer`` and the
+surface row producer of ``pipeline`` do.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .dsl import ParseError, _Line
-from .engine import (
-    FisConfigError, FuzzyVariable, Location, OutOfDomainError, SugenoFis, _infer_degrees
-)
+from .engine import FisConfigError, FuzzyVariable, Location, OutOfDomainError, SugenoFis
 
 LOS_DESCRIPTIONS = {
     1: "The traffic flow is free.",
@@ -167,7 +165,8 @@ def parse_regions(source: str) -> LosRegionModel:
         lanes 3
         region 1 flow 0 1500 speed 50 80
 
-    A syntax error starts with "line N, column C: ".  Every other error that
+    ``lanes`` may appear at most once.  A syntax error or a second ``lanes``
+    starts with "line N, column C: ".  Every other error that
     concerns one statement, the model's own checks included, starts with
     that statement's "line N: ".
     """
@@ -179,9 +178,12 @@ def parse_regions(source: str) -> LosRegionModel:
         if not line.tokens:
             continue
         try:
-            if line.keyword("lanes", "region")[0] == "lanes":
+            statement, column = line.keyword("lanes", "region")
+            if statement == "lanes":
                 lanes, _ = line.count("the lane count")
                 line.end()
+                if ("lanes",) in lines:
+                    raise ParseError(number, column, "duplicate lanes statement")
                 lines[("lanes",)] = number
                 continue
             level, _ = line.count("the level")
@@ -253,11 +255,12 @@ def classifier(fis: SugenoFis, epsilon: float) -> Callable[[float, float], Class
         raise ValueError(f"epsilon must lie in [0, 0.5), got {epsilon}")
     flow_var, speed_var = los_inputs(fis)
     fis.check_rules()
+    fire = fis._fire
 
     def rate(flow: float, speed: float) -> Classification:
         flow_cell, flow_degrees = flow_var._cell_degrees(flow)
         speed_cell, speed_degrees = speed_var._cell_degrees(speed)
-        raw, fired, _ = _infer_degrees(fis, (flow_cell, speed_cell), (flow_degrees, speed_degrees))
+        raw, fired, _ = fire((flow_cell, speed_cell), (flow_degrees, speed_degrees))
         if fired == 0:
             return Classification(raw=raw, level=None, boundary=False)
         level = min(max(math.floor(raw + 0.5), 1), 6)

@@ -166,9 +166,13 @@ class TestEvaluate:
         assert "no data" in err
 
     def test_requires_some_input(self, capsys):
-        code, _, err = run(capsys, "evaluate")
-        assert code == 2
-        assert "synthetic" in err.lower() or "input" in err.lower()
+        code, out, err = run(capsys, "evaluate")
+        assert (code, out, err) == (2, "", "error: give either an input CSV or --synthetic N\n")
+
+    def test_refuses_both_inputs(self, capsys):
+        # the CSV is never opened, so its absence is not what is reported
+        code, out, err = run(capsys, "evaluate", "missing.csv", "--synthetic", "5")
+        assert (code, out, err) == (2, "", "error: give either an input CSV or --synthetic N\n")
 
     def test_bad_epsilon_is_exit_2(self, capsys):
         code, out, err = run(capsys, "evaluate", "--synthetic", "50", "--epsilon", "0.7")

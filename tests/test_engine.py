@@ -9,13 +9,18 @@ import pytest
 from fuzzylos import (
     FisConfigError,
     FuzzyVariable,
+    Measurement,
     OutOfDomainError,
     Rule,
     SugenoFis,
     TrapezoidMF,
+    classify,
     default_fis_text,
+    evaluate,
+    export_surface,
     infer,
     parse_fis,
+    surface_grid,
 )
 from helpers import brute_force_raw, random_fis, random_point, rule_strength
 
@@ -347,3 +352,33 @@ def test_concurrent_inference_is_consistent(default_fis):
     for cells, candidates in fresh._candidates.items():
         assert type(candidates) is tuple
         assert candidates == memo_entry(fresh, cells)
+
+
+def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_fis, default_model):
+    calls = []
+    fire = SugenoFis._fire
+
+    def counting_fire(self, cells, degrees):
+        calls.append(cells)
+        return fire(self, cells, degrees)
+
+    monkeypatch.setattr(SugenoFis, "_fire", counting_fire)
+    points = [(700.0, 65.0), (2000.0, 60.0), (1000.0, 35.0)]
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert count(lambda: [
+        infer(default_fis, {"TrafficFlow": flow, "Speed": speed}) for flow, speed in points
+    ]) == 3
+    assert count(lambda: [classify(default_fis, flow, speed) for flow, speed in points]) == 3
+    # the last two points are outside the system's and the model's domain
+    data = [
+        Measurement("t", speed, flow)
+        for flow, speed in points + [(7000.0, 50.0), (700.0, -1.0)]
+    ]
+    assert count(lambda: evaluate(default_fis, default_model, data)) == 3
+    assert count(lambda: export_surface(default_fis, 7, 5)) == 35
+    assert count(lambda: list(surface_grid(default_fis, 7, 5))) == 35

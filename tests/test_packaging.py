@@ -1,5 +1,6 @@
 """The package stays dependency free: ``src/fuzzylos`` imports only the
 standard library, and ``pyproject.toml`` declares ``dependencies = []``.
+No module but ``engine`` imports a private engine name.
 
 ``pyproject.toml`` is read with a plain text match, since ``tomllib`` is
 missing before Python 3.11.
@@ -31,6 +32,23 @@ def test_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_only_the_engine_uses_its_private_names():
+    """Every module but ``engine`` reaches the kernel through the one name
+    ``SugenoFis._fire``, so no module imports a private engine name."""
+    private = []
+    for path in sorted((ROOT / "src" / "fuzzylos").glob("*.py")):
+        if path.name == "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "engine":
+                private += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []
 
 
 def test_pyproject_declares_no_dependencies():

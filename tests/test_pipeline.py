@@ -171,6 +171,10 @@ class TestSyntheticData:
     def test_positive_count_required(self, default_model):
         with pytest.raises(ValueError):
             generate_synthetic(default_model, 0, seed=1)
+        for n in (2.5, "3", True):
+            with pytest.raises(ValueError) as raised:
+                generate_synthetic(default_model, n, seed=1)
+            assert str(raised.value) == f"need a positive sample count, got {n!r}"
 
 
 def miscalibrated_fis():

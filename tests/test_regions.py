@@ -100,7 +100,10 @@ def test_region_model_errors_locate_their_argument():
     ("region 1 flow 0 inf speed 0 10\n",
      "line 1, column 17: expected a flow bound, got 'inf'"),
     ("region 1 flow 0 10 speed 0 10 x\n", "line 1, column 31: unexpected trailing 'x'"),
-], ids=["unknown", "no-lane-count", "level", "exponent", "underscore", "plus", "inf", "trailing"])
+    ("lanes 3\nlanes 4\nregion 1 flow 0 10 speed 0 10\n",
+     "line 2, column 1: duplicate lanes statement"),
+], ids=["unknown", "no-lane-count", "level", "exponent", "underscore", "plus", "inf", "trailing",
+        "duplicate-lanes"])
 def test_region_file_syntax_errors_name_line_and_column(text, message):
     with pytest.raises(RegionError) as raised:
         parse_regions(text)
