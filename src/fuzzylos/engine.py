@@ -8,22 +8,24 @@ so a built system is safe to share across threads.
 
 A SugenoFis compiles its rule base once, at construction, into
 (input index, term index) clauses.  Each input's domain is cut at its ends and
-at every term's support ends ``a`` and ``d``; a term is active in a cell when
-its closed support [a, d] meets the cell, and a rule is a candidate for a
-tuple of cells when every clause names an active term.  Both tables are built
-lazily, on the first inference, so a system that is only parsed, serialized
-or replaced pays nothing for them.  Inference fuzzifies each input once, in
-``FuzzyVariable.degrees``, which owns the domain check and finds the cell, and
-fires the cells' candidate rules in one kernel, ``SugenoFis._fire``, the only
-code that evaluates a rule.  ``infer``, ``regions.classifier`` and the surface
-row producer of ``pipeline`` share both, so a classification or a surface cell
-is bit-identical to pointwise inference.
+at every term's support ends ``a`` and ``d``; each cut is a point cell and
+each span between neighbouring cuts an open cell.  A term is active in a cell
+when it is positive there, and a rule is a candidate for a tuple of cells when
+every clause names an active term: exactly the rules that can fire there.
+Both tables are built lazily, on the first inference, so a system that is
+only parsed, serialized or replaced pays nothing for them.  Inference
+fuzzifies each input once, in ``FuzzyVariable.degrees``, which owns the
+domain check and finds the cell, and fires the cells' candidate rules in one
+kernel, ``SugenoFis._fire``, the only code that evaluates a rule.  ``infer``,
+``regions.classifier`` and the surface row producer of ``pipeline`` share
+both, so a classification or a surface cell is bit-identical to pointwise
+inference.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -144,18 +146,19 @@ class FuzzyVariable:
         """Membership degree of x in every term, in declaration order;
         OutOfDomainError if x (NaN included) lies outside the domain.
 
-        Only the terms active in x's cell are evaluated.  Every other term's
-        closed support misses the cell, and so x, so its degree is 0.0."""
+        Only the terms active in x's cell are evaluated.  Every other term is
+        0 throughout the cell, and so at x."""
         return self._cell_degrees(x)[1]
 
     def _cell_degrees(self, x: float) -> tuple[int, list[float]]:
-        """(index of the cell holding x, ``degrees(x)``).  A cut belongs to
-        the cell on its right, the domain maximum to the last cell."""
+        """(index of the cell holding x, ``degrees(x)``): the point cell 2k
+        if x is cut k, else the open cell 2k + 1 between cuts k and k + 1."""
         lo, hi = self.domain
         if not lo <= x <= hi:
             raise OutOfDomainError(f"{self.name} = {x} outside domain [{lo}, {hi}]")
-        inner_cuts, active = self._cells
-        cell = bisect_right(inner_cuts, x)
+        cuts, active = self._cells
+        i = bisect_left(cuts, x)
+        cell = 2 * i if cuts[i] == x else 2 * i - 1
         degrees = [0.0] * len(self.terms)
         for j, mf in active[cell]:
             degrees[j] = mf.degree(x)
@@ -163,18 +166,21 @@ class FuzzyVariable:
 
     @cached_property
     def _cells(self) -> tuple[list[float], list[tuple[tuple[int, TrapezoidMF], ...]]]:
-        """The cuts strictly inside the domain, sorted, and per cell
-        [cut_k, cut_k+1] the (index, function) of each term whose closed
-        support meets it.  The cuts are the domain ends and every ``a`` and
-        ``d``, so a term is positive throughout a cell's inside or nowhere."""
+        """The sorted cuts, the domain ends and every ``a`` and ``d``, and per
+        cell the (index, function) of each term active in it.  Cell 2k is cut
+        k, where a term is active if its degree is positive; cell 2k + 1 is
+        the open span between cuts k and k + 1, where a term is active if
+        ``a <= left`` and ``right <= d``: no cut lies inside the span, so the
+        term is positive throughout it, and every other term is 0 there."""
         lo, hi = self.domain
         cuts = sorted({lo, hi, *(p for _, mf in self.terms for p in (mf.a, mf.d))})
         terms = list(enumerate(mf for _, mf in self.terms))
-        active = [
-            tuple((j, mf) for j, mf in terms if mf.a <= right and left <= mf.d)
-            for left, right in zip(cuts, cuts[1:])
-        ]
-        return cuts[1:-1], active
+        active = []
+        for left, right in zip(cuts, cuts[1:]):
+            active.append(tuple((j, mf) for j, mf in terms if mf.degree(left) > 0.0))
+            active.append(tuple((j, mf) for j, mf in terms if mf.a <= left and right <= mf.d))
+        active.append(tuple((j, mf) for j, mf in terms if mf.degree(hi) > 0.0))
+        return cuts, active
 
 
 @dataclass(frozen=True)
@@ -306,9 +312,11 @@ class SugenoFis:
         input i.  The candidates of a cell tuple, built on its first call and
         published as a finished tuple, are the compiled rules, in rule order,
         whose every clause names a term active in its input's cell (a rule
-        without a clause on an input passes on it).  They include every rule
-        that can fire there, so a skipped rule has strength 0 and leaves both
-        sums and the clamp range, and so the result, bit for bit unchanged.
+        without a clause on an input passes on it): exactly the rules that
+        can fire there.  A skipped rule has strength 0 and leaves both sums
+        and the clamp range, and so the result, bit for bit unchanged.  A
+        candidate is still tested for ``w > 0.0``: a ramp's degree can
+        underflow to 0.0 just inside its open cell.
         Each rule conjoins its clauses in order, from 1.0.  The clamp into
         [min, max] of the fired consequents is also what makes a lone fired
         rule return its consequent exactly (a -0.0 comes back as 0.0).  The

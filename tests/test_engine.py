@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -124,7 +125,7 @@ def test_infer_plateau_unique_rule_hand_oracle(default_fis):
 def test_a_term_ending_on_a_cut_stays_active_in_the_next_cell():
     # A's support ends where B's begins, at 5; A's vertical right shoulder
     # gives it degree 1 there, and B's left shoulder does too.  The point lies
-    # in the cell [5, 10], which A's closed support [0, 5] still meets.
+    # in the point cell of the cut 5, where both are positive.
     x = FuzzyVariable(
         "X", "", (0.0, 10.0),
         (("A", TrapezoidMF(0, 2, 5, 5)), ("B", TrapezoidMF(5, 5, 8, 10))),
@@ -138,6 +139,22 @@ def test_a_term_ending_on_a_cut_stays_active_in_the_next_cell():
     result = infer(fis, {"X": 5.0})
     assert result.raw == 2.0
     assert result.fired_rule_count == 2
+
+
+def test_a_ramp_that_underflows_inside_its_cell_does_not_fire():
+    # 5e-324 lies in the open cell (0, 4), where the term is active, but its
+    # degree (5e-324 - 0) / 2 rounds to 0.0: the kernel must skip the rule
+    # rather than divide by a zero total strength.
+    x = FuzzyVariable("X", "", (0.0, 4.0), (("A", TrapezoidMF(0, 2, 3, 4)),))
+    fis = SugenoFis(
+        inputs=(x,),
+        output_name="Out",
+        output_domain=(0.0, 6.0),
+        rules=(Rule((("X", "A"),), 1.0),),
+    )
+    result = infer(fis, {"X": 5e-324})
+    assert result.raw == 0.0
+    assert result.fired_rule_count == 0
 
 
 def test_infer_out_of_domain_rejected():
@@ -295,21 +312,33 @@ def test_matches_brute_force_on_random_systems():
             assert result.raw == pytest.approx(expected, abs=1e-12)
 
 
+def cuts(var):
+    """The domain ends and every term's support ends, sorted."""
+    return sorted({*var.domain, *(p for _, mf in var.terms for p in (mf.a, mf.d))})
+
+
 def memo_entry(fis, cells):
     """The candidate memo entry for a tuple of cells, worked out from the
     rules, the term supports and the cuts at every support end: the compiled
-    rules, in rule order, whose every term's closed support meets its cell."""
+    rules, in rule order, whose every term is positive in its cell.  Cell 2k
+    is cut k, where a term is positive if its degree there is; cell 2k + 1 is
+    the open span between cuts k and k + 1, where a term is positive if its
+    support [a, d] covers the span."""
     entry = []
     for rule in fis.rules:
         clauses = []
         for var_name, term_name in rule.antecedent:
             i = [var.name for var in fis.inputs].index(var_name)
             var = fis.inputs[i]
-            cuts = sorted({*var.domain, *(p for _, mf in var.terms for p in (mf.a, mf.d))})
-            left, right = cuts[cells[i]], cuts[cells[i] + 1]
+            k, is_span = divmod(cells[i], 2)
             j = var.term_names().index(term_name)
             mf = var.terms[j][1]
-            if not (mf.a <= right and left <= mf.d):
+            if is_span:
+                left, right = cuts(var)[k : k + 2]
+                positive = mf.a <= left and right <= mf.d
+            else:
+                positive = mf.degree(cuts(var)[k]) > 0.0
+            if not positive:
                 break
             clauses.append((i, j))
         else:
@@ -352,6 +381,28 @@ def test_concurrent_inference_is_consistent(default_fis):
     for cells, candidates in fresh._candidates.items():
         assert type(candidates) is tuple
         assert candidates == memo_entry(fresh, cells)
+
+
+def test_candidates_are_exactly_the_fired_rules_on_the_shipped_system():
+    fis = parse_fis(default_fis_text())
+    # every cut and every midpoint between two neighbouring cuts, per input:
+    # one point in each of its point and open cells
+    axes = [
+        [*cut, *((left + right) / 2 for left, right in zip(cut, cut[1:]))]
+        for cut in map(cuts, fis.inputs)
+    ]
+    for point in itertools.product(*axes):
+        result = infer(fis, {var.name: x for var, x in zip(fis.inputs, point)})
+        cells = tuple(var._cell_degrees(x)[0] for var, x in zip(fis.inputs, point))
+        assert len(fis._candidates[cells]) == result.fired_rule_count
+    # 23 flow cells by 19 speed cells, each visited once
+    assert len(fis._candidates) == math.prod(len(var._cells[1]) for var in fis.inputs) == 437
+
+
+def test_a_surface_fills_at_most_one_memo_entry_per_cell_tuple():
+    fis = parse_fis(default_fis_text())
+    export_surface(fis, 200, 200)
+    assert 0 < len(fis._candidates) <= math.prod(len(var._cells[1]) for var in fis.inputs)
 
 
 def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_fis, default_model):

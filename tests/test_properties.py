@@ -3,7 +3,8 @@
 Systems come from ``helpers.random_fis`` seeded by hypothesis, and from
 ``coinciding_systems``, whose breakpoints coincide; each one is run under
 both AND operators.  ``infer`` must agree with the independent brute-force
-evaluator, on and 1 ulp around every breakpoint too.  Every cell of a random
+evaluator, on and 1 ulp around every breakpoint too, and a point's candidate
+rules must be exactly the rules it fires.  Every cell of a random
 two-input surface, and ``classify`` at that cell, reach the kernel without
 going through ``infer``: both must be bit-identical to pointwise inference,
 and ``classify`` must round, clamp and flag boundaries and anomalies by its
@@ -119,6 +120,21 @@ def coinciding_systems(draw):
 @given(fis=coinciding_systems(), data=st.data())
 def test_infer_matches_brute_force_where_breakpoints_coincide(fis, data):
     check_against_brute_force(fis, data)
+
+
+@PROPERTY_SETTINGS
+@given(fis=coinciding_systems(), data=st.data())
+def test_a_points_candidates_are_exactly_its_fired_rules(fis, data):
+    # quarter steps put a point on every cut and inside every open cell, and
+    # the ulp steps beside them keep 2**-53 or more from every integer: no
+    # degree or product underflows to 0.0, as it would at 5e-324
+    quarters = [k / 4 for k in range(25)]
+    near = [math.nextafter(p, 0.0) for p in range(1, 7)]
+    near += [math.nextafter(p, 6.0) for p in range(1, 6)]
+    point = [data.draw(st.sampled_from(quarters + near), label=var.name) for var in fis.inputs]
+    result = fz.infer(fis, {var.name: x for var, x in zip(fis.inputs, point)})
+    cells = tuple(var._cell_degrees(x)[0] for var, x in zip(fis.inputs, point))
+    assert len(fis._candidates[cells]) == result.fired_rule_count
 
 
 @PROPERTY_SETTINGS
