@@ -279,7 +279,8 @@ def evaluate(
     the accuracy denominator.  A supplied ``los`` that is not an int in
     1..6, and then a point outside the system's or the model's domain, are
     the per-point errors: they go into the report and never abort the run.
-    ``classifier`` checks once, before any point is scored, so a bad
+    Each point's ``(raw, level, boundary)`` from ``classifier`` is unpacked
+    as is.  ``classifier`` checks once, before any point is scored, so a bad
     ``epsilon`` raises ValueError and a system without exactly two inputs or
     without rules raises FisConfigError even if every point is out of
     domain.  Data without a single point then raises ValueError.
@@ -294,20 +295,19 @@ def evaluate(
         try:
             if truth is None and model is not None:
                 truth = oracle_label(model, m.flow, m.speed)
-            prediction = rate(m.flow, m.speed)
+            _, level, boundary = rate(m.flow, m.speed)
         except OutOfDomainError as exc:
             report.errors.append(f"point {index} ({m.timestamp}): {exc}")
             continue
-        if prediction.boundary:
+        if boundary:
             report.boundary_cases += 1
         if truth is None:
             report.unlabeled += 1
             continue
-        if prediction.is_anomaly:
+        if level is None:
             report.anomalies += 1
             continue
-        assert prediction.level is not None
-        report.confusion[truth - 1][prediction.level - 1] += 1
+        report.confusion[truth - 1][level - 1] += 1
     if report.points == 0:
         raise ValueError("no data to evaluate")
     return report
@@ -393,9 +393,10 @@ def label_csv(model: LosRegionModel, text: str) -> str:
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    # A "\n" terminator makes csv.writer quote "\n" but not a bare "\r",
-    # which readers take for a line break, so such a row is quoted whole.
+    # A "\n" terminator makes csv.writer quote "\n" but not "\r", which readers
+    # take for a line break, so a row with one is quoted whole; only a text with one is searched.
     quoting_writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    has_cr = "\r" in text
     writer.writerow(LABELED_CSV_HEADER)
     for line, record, row in _read_rows(text, labels=False):
         if not isinstance(row, tuple):
@@ -405,6 +406,6 @@ def label_csv(model: LosRegionModel, text: str) -> str:
             level = oracle_label(model, flow, speed)
         except OutOfDomainError as exc:
             raise IngestError(f"line {line}: {exc}") from None
-        row_writer = quoting_writer if any("\r" in field for field in record) else writer
-        row_writer.writerow(record + ["-" if level is None else level])
+        quoted = has_cr and any("\r" in field for field in record)
+        (quoting_writer if quoted else writer).writerow(record + ["-" if level is None else level])
     return out.getvalue()

@@ -9,11 +9,11 @@ those closed edges once, at construction; the oracle and rule generation
 then test plain half-open boxes.  ``.los`` files are read with the ``.fis``
 line lexer of ``dsl``.
 
-Classification rounds a two-input system's output to a level.
-``classifier`` checks the system once and returns the per-point function
-that ``classify`` and ``pipeline.evaluate`` share; it fuzzifies both inputs
-and calls the engine's one kernel, ``SugenoFis._fire``, as ``infer`` and the
-surface row producer of ``pipeline`` do.
+Classification rounds a two-input system's output to a level.  ``classifier``
+checks the system once and returns the per-point function that ``classify``
+and ``pipeline.evaluate`` share: it fires the engine's one kernel,
+``SugenoFis._fire``, as ``infer`` and ``pipeline``'s surface rows do, and
+returns a plain ``(raw, level, boundary)``, which ``classify`` wraps.
 """
 
 from __future__ import annotations
@@ -242,9 +242,9 @@ def los_inputs(fis: SugenoFis) -> tuple[FuzzyVariable, FuzzyVariable]:
     return flow_var, speed_var
 
 
-def classifier(fis: SugenoFis, epsilon: float) -> Callable[[float, float], Classification]:
-    """Check ``epsilon`` and ``fis`` once and return the function that
-    classifies one (flow, speed) pair.
+def classifier(fis: SugenoFis, epsilon: float) -> Callable[[float, float], tuple]:
+    """Check ``epsilon`` and ``fis`` once and return the function that rates
+    one (flow, speed) pair as a plain ``(raw, level, boundary)`` tuple.
 
     Raises ValueError for an epsilon outside [0, 0.5), then FisConfigError
     for a system without exactly two inputs or without rules.  The function
@@ -257,20 +257,19 @@ def classifier(fis: SugenoFis, epsilon: float) -> Callable[[float, float], Class
     fis.check_rules()
     fire = fis._fire
 
-    def rate(flow: float, speed: float) -> Classification:
+    def rate(flow: float, speed: float) -> tuple[float, int | None, bool]:
         flow_cell, flow_degrees = flow_var._cell_degrees(flow)
         speed_cell, speed_degrees = speed_var._cell_degrees(speed)
         raw, fired, _ = fire((flow_cell, speed_cell), (flow_degrees, speed_degrees))
         if fired == 0:
-            return Classification(raw=raw, level=None, boundary=False)
-        level = min(max(math.floor(raw + 0.5), 1), 6)
-        return Classification(raw=raw, level=level, boundary=abs(raw - round(raw)) > epsilon)
+            return raw, None, False
+        return raw, min(max(math.floor(raw + 0.5), 1), 6), abs(raw - round(raw)) > epsilon
 
     return rate
 
 
 def classify(fis: SugenoFis, flow: float, speed: float, epsilon: float = 0.05) -> Classification:
     """Classify one (flow, speed) pair through a two-input LoS system whose
-    first input takes the flow; ``classifier`` checks ``epsilon`` and the
-    system first, so they raise before the point's domain is checked."""
-    return classifier(fis, epsilon)(flow, speed)
+    first input takes the flow: ``classifier``'s tuple as a Classification.
+    Its checks of ``epsilon`` and the system raise before the domain's."""
+    return Classification(*classifier(fis, epsilon)(flow, speed))

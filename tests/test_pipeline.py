@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import random
 from datetime import datetime
 from fractions import Fraction
@@ -111,6 +112,17 @@ class TestIngest:
                 ingest(HEADER + blob.decode("latin-1"))
             except IngestError:
                 pass
+
+    def test_quantities_may_carry_any_whitespace(self, default_model):
+        # float() itself refuses U+001C..U+001F, which str.strip() removes
+        spaces = [chr(code) for code in range(0x110000) if chr(code).isspace()]
+        assert {"\x1c", "\x1d", "\x1e", "\x1f", "\r", "\n", "\u3000"} <= set(spaces)
+        for c in spaces:
+            speed, flow = f"{c}62.5{c}", f"{c}1200{c}"
+            text = HEADER + f'"t","{speed}","{flow}"\n'
+            assert ingest(text) == ([Measurement("t", 62.5, 1200.0)], []), repr(c)
+            labeled = list(csv.reader(io.StringIO(label_csv(default_model, text), newline="")))
+            assert labeled[1:] == [["t", speed, flow, "1"]], repr(c)
 
 
 class TestSyntheticData:
@@ -324,6 +336,38 @@ class TestEvaluate:
         assert payload["total"] == 1
         assert payload["confusion"][0][0] == 1
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.49])
+    def test_counts_agree_with_per_point_classify(self, default_fis, default_model, epsilon):
+        rng = random.Random(23)
+        data = generate_synthetic(default_model, 2000, seed=23)
+        # the uncovered zones, where no rule fires: the oracle leaves them
+        # unlabeled, so half the points there carry an expert label
+        for _ in range(50):
+            data.append(Measurement("hi", rng.uniform(65, 80), rng.uniform(5250, 6000)))
+            data.append(Measurement("lo", rng.uniform(0, 5), rng.uniform(4500, 4750), los=6))
+        # and points off the domain
+        data += [Measurement("out", 90.0, 700.0), Measurement("out", 40.0, 6500.0),
+                 Measurement("out", -1.0, 700.0)]
+        expected = fz.EvaluationReport()
+        for index, m in enumerate(data):
+            try:
+                truth = m.los or oracle_label(default_model, m.flow, m.speed)
+                c = fz.classify(default_fis, m.flow, m.speed, epsilon)
+            except fz.OutOfDomainError as exc:
+                expected.errors.append(f"point {index} ({m.timestamp}): {exc}")
+                continue
+            expected.boundary_cases += c.boundary
+            if truth is None:
+                expected.unlabeled += 1
+            elif c.is_anomaly:
+                expected.anomalies += 1
+            else:
+                expected.confusion[truth - 1][c.level - 1] += 1
+        assert min(expected.unlabeled, expected.anomalies, len(expected.errors)) > 0
+        assert expected.boundary_cases > 0
+        report = evaluate(default_fis, default_model, data, epsilon)
+        assert report.to_dict() == expected.to_dict()
+
 
 class TestSurface:
     def test_two_by_two_grid_covers_corners(self, default_fis):
@@ -406,3 +450,25 @@ class TestLabelCsv:
         text = HEADER + "t1,62.0,1200\n\n\"t\n2\",62.0,7000\nt3,62.0,1200\n"
         with pytest.raises(IngestError, match=r"^line 4: point \(flow=7000\.0, speed=62\.0\)"):
             label_csv(default_model, text)
+
+    def test_crlf_input_labels_to_the_text_of_its_lf_twin(self, default_model):
+        lf = HEADER + "t0,62.0,1200\nt1,38.0,600\nt2,50.0,3500\n"
+        expected = (
+            "timestamp,speed_kmh,flow_vph,los\n"
+            "t0,62.0,1200,1\n"
+            "t1,38.0,600,-\n"
+            "t2,50.0,3500,3\n"
+        )
+        assert label_csv(default_model, lf) == expected
+        assert label_csv(default_model, lf.replace("\n", "\r\n")) == expected
+
+    def test_only_a_row_holding_a_carriage_return_is_quoted_whole(self, default_model):
+        lf = HEADER + 't0,62.0,1200\n"t\r1",38.0,600\nt2,50.0,3500\n'
+        expected = (
+            "timestamp,speed_kmh,flow_vph,los\n"
+            "t0,62.0,1200,1\n"
+            '"t\r1","38.0","600","-"\n'
+            "t2,50.0,3500,3\n"
+        )
+        assert label_csv(default_model, lf) == expected
+        assert label_csv(default_model, lf.replace("\n", "\r\n")) == expected
