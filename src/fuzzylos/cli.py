@@ -26,7 +26,9 @@ USER_ERRORS = (ValueError, OSError)
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8-sig")
+    # newline="" keeps a quoted "\r" inside a field; the CSV reader splits rows
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        return f.read()
 
 
 def _load_fis_arg(args: argparse.Namespace) -> SugenoFis:

@@ -8,18 +8,19 @@ so a built system is safe to share across threads.
 
 A SugenoFis compiles its rule base once, at construction, into
 (input index, term index) clauses.  Each input's domain is cut at its ends and
-at every term's support ends ``a`` and ``d``; each cut is a point cell and
-each span between neighbouring cuts an open cell.  A term is active in a cell
+at every term's breakpoints ``a``, ``b``, ``c`` and ``d``; each cut is a point
+cell and each span between neighbouring cuts an open cell.  A cell holds its
+terms' constant degrees and the ramps to evaluate.  A term is active in a cell
 when it is positive there, and a rule is a candidate for a tuple of cells when
 every clause names an active term: exactly the rules that can fire there.
 Both tables are built lazily, on the first inference, so a system that is
 only parsed, serialized or replaced pays nothing for them.  Inference
 fuzzifies each input once, in ``FuzzyVariable.degrees``, which owns the
 domain check and finds the cell, and fires the cells' candidate rules in one
-kernel, ``SugenoFis._fire``, the only code that evaluates a rule.  ``infer``,
-``regions.classifier`` and the surface row producer of ``pipeline`` share
-both, so a classification or a surface cell is bit-identical to pointwise
-inference.
+kernel, ``SugenoFis._fire``, the only code that evaluates a rule; it resolves
+the AND operator once per call.  ``infer``, ``regions.classifier`` and the
+surface row producer of ``pipeline`` share both, so a classification or a
+surface cell is bit-identical to pointwise inference.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import fsum
 from typing import Mapping, Sequence
 
 
@@ -146,8 +148,8 @@ class FuzzyVariable:
         """Membership degree of x in every term, in declaration order;
         OutOfDomainError if x (NaN included) lies outside the domain.
 
-        Only the terms active in x's cell are evaluated.  Every other term is
-        0 throughout the cell, and so at x."""
+        Only the ramps of x's cell are evaluated; every other degree is a
+        constant of the cell."""
         return self._cell_degrees(x)[1]
 
     def _cell_degrees(self, x: float) -> tuple[int, list[float]]:
@@ -156,31 +158,38 @@ class FuzzyVariable:
         lo, hi = self.domain
         if not lo <= x <= hi:
             raise OutOfDomainError(f"{self.name} = {x} outside domain [{lo}, {hi}]")
-        cuts, active = self._cells
+        cuts, cells = self._cells
         i = bisect_left(cuts, x)
         cell = 2 * i if cuts[i] == x else 2 * i - 1
-        degrees = [0.0] * len(self.terms)
-        for j, mf in active[cell]:
-            degrees[j] = mf.degree(x)
+        row, ramps = cells[cell]
+        degrees = row.copy()
+        for j, p, q in ramps:
+            degrees[j] = (x - p) / q
         return cell, degrees
 
     @cached_property
-    def _cells(self) -> tuple[list[float], list[tuple[tuple[int, TrapezoidMF], ...]]]:
-        """The sorted cuts, the domain ends and every ``a`` and ``d``, and per
-        cell the (index, function) of each term active in it.  Cell 2k is cut
-        k, where a term is active if its degree is positive; cell 2k + 1 is
-        the open span between cuts k and k + 1, where a term is active if
-        ``a <= left`` and ``right <= d``: no cut lies inside the span, so the
-        term is positive throughout it, and every other term is 0 there."""
+    def _cells(self) -> tuple[list[float], list[tuple[list[float], list]]]:
+        """The sorted cuts, the domain ends and every term's ``a``, ``b``, ``c``
+        and ``d``, and per cell its constant degrees and its ramps.  Cell 2k is
+        cut k, whose degrees are constants, a zero as 0.0 at either signed zero.
+        In the open cell 2k + 1, between cuts k and k + 1, a term is 0, 1 on its
+        plateau, or strictly inside a ramp ``(j, p, q)`` of degree ``(x - p) /
+        q``: ``p = a, q = b - a`` rising, ``p = d, q = c - d`` falling, which is
+        ``TrapezoidMF.degree`` bit for bit, as negating both operands of a
+        division is exact.  A term is active, positive throughout its cell, if
+        its constant is positive or it is on a ramp."""
         lo, hi = self.domain
-        cuts = sorted({lo, hi, *(p for _, mf in self.terms for p in (mf.a, mf.d))})
         terms = list(enumerate(mf for _, mf in self.terms))
-        active = []
+        cuts = sorted({lo, hi, *(p for _, mf in terms for p in (mf.a, mf.b, mf.c, mf.d))})
+        cells = []
         for left, right in zip(cuts, cuts[1:]):
-            active.append(tuple((j, mf) for j, mf in terms if mf.degree(left) > 0.0))
-            active.append(tuple((j, mf) for j, mf in terms if mf.a <= left and right <= mf.d))
-        active.append(tuple((j, mf) for j, mf in terms if mf.degree(hi) > 0.0))
-        return cuts, active
+            cells.append(([mf.degree(left) or 0.0 for _, mf in terms], []))
+            ramps = [(j, mf.a, mf.b - mf.a) for j, mf in terms if mf.a <= left and right <= mf.b]
+            ramps += [(j, mf.d, mf.c - mf.d) for j, mf in terms if mf.c <= left and right <= mf.d]
+            plateau = [1.0 if mf.b <= left and right <= mf.c else 0.0 for _, mf in terms]
+            cells.append((plateau, ramps))
+        cells.append(([mf.degree(hi) or 0.0 for _, mf in terms], []))
+        return cuts, cells
 
 
 @dataclass(frozen=True)
@@ -317,15 +326,19 @@ class SugenoFis:
         and the clamp range, and so the result, bit for bit unchanged.  A
         candidate is still tested for ``w > 0.0``: a ramp's degree can
         underflow to 0.0 just inside its open cell.
-        Each rule conjoins its clauses in order, from 1.0.  The clamp into
-        [min, max] of the fired consequents is also what makes a lone fired
-        rule return its consequent exactly (a -0.0 comes back as 0.0).  The
-        range is kept as it runs; strict comparisons keep the first of equal
-        consequents, as ``min`` and ``max`` do, so 0.0 and -0.0 stay apart.
+        The AND operator is resolved once per call; each rule conjoins its
+        clauses in order, from 1.0.  The clamp into [min, max] of the fired
+        consequents also makes a lone fired rule return its consequent
+        exactly (a -0.0 comes back as 0.0).  The range is kept as it runs,
+        and all comparisons, the clamp's too, are strict: they keep the first
+        of equal values, as ``min`` and ``max`` do, so 0.0 and -0.0 stay apart.
         """
         candidates = self._candidates.get(cells)
         if candidates is None:
-            active = [{j for j, _ in var._cells[1][cell]} for var, cell in zip(self.inputs, cells)]
+            active = [
+                {j for j, d in enumerate(row) if d > 0.0}.union(j for j, _, _ in ramps)
+                for row, ramps in (var._cells[1][cell] for var, cell in zip(self.inputs, cells))
+            ]
             candidates = self._candidates[cells] = tuple(
                 rule for rule in self._compiled if all(j in active[i] for i, j in rule[0])
             )
@@ -335,13 +348,14 @@ class SugenoFis:
         c_min, c_max = math.inf, -math.inf
         for clauses, consequent in candidates:
             w = 1.0
-            for var_index, term_index in clauses:
-                d = degrees[var_index][term_index]
-                if use_min:
+            if use_min:
+                for var_index, term_index in clauses:
+                    d = degrees[var_index][term_index]
                     if d < w:
                         w = d
-                else:
-                    w = w * d
+            else:
+                for var_index, term_index in clauses:
+                    w = w * degrees[var_index][term_index]
             if w > 0.0:
                 weights.append(w)
                 contributions.append(w * consequent)
@@ -351,8 +365,12 @@ class SugenoFis:
                     c_max = consequent
         if not weights:
             return 0.0, 0, 0.0
-        total = math.fsum(weights)
-        raw = min(max(math.fsum(contributions) / total, c_min), c_max)
+        total = fsum(weights)
+        raw = fsum(contributions) / total
+        if raw < c_min:
+            raw = c_min
+        elif raw > c_max:
+            raw = c_max
         return raw, len(weights), total
 
 

@@ -108,6 +108,19 @@ class TestLabel:
         assert lines[1].endswith(",1")
         assert lines[2].endswith(",-")
 
+    def test_crlf_file_keeps_a_quoted_carriage_return(self, capsys, tmp_path):
+        csv_path = tmp_path / "crlf.csv"
+        csv_path.write_bytes(
+            b'timestamp,speed_kmh,flow_vph\r\n"t\r0",65,700\r\nt1,60,2000\r\nt2,50,3500\r\n'
+        )
+        out_path = tmp_path / "labeled.csv"
+        code, _, _ = run(capsys, "label", str(csv_path), "--out", str(out_path))
+        assert code == 0
+        assert b'"t\r0"' in out_path.read_bytes()
+        code, out, _ = run(capsys, "evaluate", str(out_path))
+        assert code == 0
+        assert "points:         3" in out
+
     def test_malformed_csv_leaves_no_partial_output(self, capsys, tmp_path):
         csv_path = tmp_path / "data.csv"
         csv_path.write_text(HEADER + "t0,62.0,1200\nt1,-5,600\n", encoding="utf-8")

@@ -300,6 +300,69 @@ def test_raw_stays_within_fired_consequent_range():
             assert min(consequents) <= result.raw <= max(consequents)
 
 
+@pytest.mark.parametrize("and_operator", ["min", "product"])
+@pytest.mark.parametrize("consequents", [(0.0, -0.0), (-0.0, 0.0), (-0.0, 2.5, 0.0), (0.7,)])
+def test_raw_is_the_clamped_weighted_average_bit_for_bit(and_operator, consequents):
+    # rule k fires on term k of both inputs; neighbouring terms overlap, so
+    # points fire one rule alone or two together
+    terms = tuple(
+        (f"T{k}", TrapezoidMF(3 * k, 3 * k + 1.5, 3 * k + 2, 3 * k + 3.7))
+        for k in range(len(consequents))
+    )
+    fis = SugenoFis(
+        inputs=(
+            FuzzyVariable("X", "", (0.0, 10.0), terms),
+            FuzzyVariable("Y", "", (0.0, 10.0), terms),
+        ),
+        output_name="Out",
+        output_domain=(-1.0, 3.0),
+        rules=tuple(
+            Rule((("X", f"T{k}"), ("Y", f"T{k}")), c) for k, c in enumerate(consequents)
+        ),
+        and_operator=and_operator,
+    )
+    axis = [10.0 * i / 97 for i in range(98)]
+    clamped = 0
+    for x, y in itertools.product(axis, axis):
+        point = {"X": x, "Y": y}
+        fired = [(w, r.consequent) for r in fis.rules if (w := rule_strength(fis, r, point)) > 0.0]
+        if not fired:
+            continue
+        cs = [c for _, c in fired]
+        average = math.fsum(w * c for w, c in fired) / math.fsum(w for w, _ in fired)
+        expected = min(max(average, min(cs)), max(cs))
+        assert repr(infer(fis, point).raw) == repr(expected)
+        clamped += repr(expected) != repr(average)
+    if len(consequents) == 1:
+        # the lone rule's average rounds off its consequent at some points,
+        # and the clamp brings it back
+        assert clamped > 0
+
+
+def test_cell_degrees_equal_every_term_degree_on_random_systems():
+    rng = random.Random(31)
+    for _ in range(40):
+        for var in random_fis(rng).inputs:
+            lo, hi = var.domain
+            points = [rng.uniform(lo, hi) for _ in range(20)]
+            for cut in cuts(var):
+                points += [cut, math.nextafter(cut, -math.inf), math.nextafter(cut, math.inf)]
+            for x in filter(lambda x: lo <= x <= hi, points):
+                expected = repr([mf.degree(x) for _, mf in var.terms])
+                assert repr(var._cell_degrees(x)[1]) == expected
+                # the cell's row is copied, never handed out
+                var.degrees(x)[:] = [-1.0] * len(var.terms)
+                assert repr(var.degrees(x)) == expected
+
+
+def test_a_zero_degree_at_a_cut_reads_0_0_at_either_signed_zero():
+    # -0.0 - 0.0 is -0.0, so TrapezoidMF.degree(-0.0) is -0.0 on a ramp
+    # rising from 0.0; the cut's constants hold 0.0 for both zeros
+    for lo in (-0.0, -1.0):
+        var = FuzzyVariable("X", "", (lo, 1.0), (("A", TrapezoidMF(0.0, 0.5, 0.6, 1.0)),))
+        assert repr(var.degrees(-0.0)) == repr(var.degrees(0.0)) == "[0.0]"
+
+
 def test_matches_brute_force_on_random_systems():
     rng = random.Random(23)
     for _ in range(30):
@@ -313,13 +376,13 @@ def test_matches_brute_force_on_random_systems():
 
 
 def cuts(var):
-    """The domain ends and every term's support ends, sorted."""
-    return sorted({*var.domain, *(p for _, mf in var.terms for p in (mf.a, mf.d))})
+    """The domain ends and every term's breakpoints a, b, c and d, sorted."""
+    return sorted({*var.domain, *(p for _, mf in var.terms for p in (mf.a, mf.b, mf.c, mf.d))})
 
 
 def memo_entry(fis, cells):
     """The candidate memo entry for a tuple of cells, worked out from the
-    rules, the term supports and the cuts at every support end: the compiled
+    rules, the term supports and the cuts at every breakpoint: the compiled
     rules, in rule order, whose every term is positive in its cell.  Cell 2k
     is cut k, where a term is positive if its degree there is; cell 2k + 1 is
     the open span between cuts k and k + 1, where a term is positive if its
@@ -395,8 +458,8 @@ def test_candidates_are_exactly_the_fired_rules_on_the_shipped_system():
         result = infer(fis, {var.name: x for var, x in zip(fis.inputs, point)})
         cells = tuple(var._cell_degrees(x)[0] for var, x in zip(fis.inputs, point))
         assert len(fis._candidates[cells]) == result.fired_rule_count
-    # 23 flow cells by 19 speed cells, each visited once
-    assert len(fis._candidates) == math.prod(len(var._cells[1]) for var in fis.inputs) == 437
+    # 39 flow cells by 31 speed cells, each visited once
+    assert len(fis._candidates) == math.prod(len(var._cells[1]) for var in fis.inputs) == 1209
 
 
 def test_a_surface_fills_at_most_one_memo_entry_per_cell_tuple():
