@@ -20,7 +20,8 @@ domain check and finds the cell, and fires the cells' candidate rules in one
 kernel, ``SugenoFis._fire``, the only code that evaluates a rule; it resolves
 the AND operator once per call.  ``infer``, ``regions.classifier`` and the
 surface row producer of ``pipeline`` share both, so a classification or a
-surface cell is bit-identical to pointwise inference.
+surface cell is bit-identical to pointwise inference; the row producer calls
+the kernel once per run of grid values with equal cell and degrees.
 """
 
 from __future__ import annotations

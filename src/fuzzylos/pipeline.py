@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import groupby
 from typing import Iterable, Iterator
 
 from .engine import InferenceResult, OutOfDomainError, SugenoFis, grid_value
@@ -315,7 +316,7 @@ def evaluate(
 
 def _surface_rows(
     fis: SugenoFis, flow_steps: int, speed_steps: int
-) -> tuple[list[float], Iterator[tuple[float, list[tuple[float, int, float]]]]]:
+) -> tuple[list[float], Iterator[tuple[float, tuple[tuple[float, int, float], ...]]]]:
     """The one producer of surfaces: check the arguments, then return the
     grid's speeds and an iterator of its rows, flow ascending, each
     ``(flow, results)`` with the kernel's ``(raw, fired_rule_count,
@@ -326,25 +327,33 @@ def _surface_rows(
     counts that are not ints of at least 2 raise ValueError, and a system
     without exactly two inputs (flow first) or without rules raises
     FisConfigError.  Each speed is fuzzified once and each flow once, domain
-    check and cell lookup included, and every cell goes through the kernel
-    ``infer`` uses, so each cell is bit-identical to pointwise inference.
+    check and cell lookup included.  A run is a stretch of consecutive grid
+    values with equal ``_cell_degrees``, cell and degrees; the grids ascend,
+    so equal keys are adjacent.  The kernel ``infer`` uses, a pure function
+    of its inputs, runs once per pair of flow run and speed run; degrees are
+    never NaN or -0.0, so equal keys are identical inputs and each cell is
+    bit-identical to pointwise inference.  Consecutive rows may be one tuple.
     """
     if not all(type(steps) is int and steps >= 2 for steps in (flow_steps, speed_steps)):
         raise ValueError("surface export needs at least 2 steps per axis")
     flow_var, speed_var = los_inputs(fis)
     fis.check_rules()
     speeds = [grid_value(*speed_var.domain, speed_steps, j) for j in range(speed_steps)]
-    speed_cells = [speed_var._cell_degrees(speed) for speed in speeds]
+    speed_runs = [
+        (key, sum(1 for _ in run)) for key, run in groupby(map(speed_var._cell_degrees, speeds))
+    ]
     fire = fis._fire
 
     def rows():
-        for i in range(flow_steps):
-            flow = grid_value(*flow_var.domain, flow_steps, i)
-            flow_cell, flow_degrees = flow_var._cell_degrees(flow)
-            yield flow, [
-                fire((flow_cell, speed_cell), (flow_degrees, degrees))
-                for speed_cell, degrees in speed_cells
-            ]
+        flows = (grid_value(*flow_var.domain, flow_steps, i) for i in range(flow_steps))
+        for (flow_cell, flow_degrees), run in groupby(flows, flow_var._cell_degrees):
+            results = tuple(
+                result
+                for (speed_cell, degrees), count in speed_runs
+                for result in [fire((flow_cell, speed_cell), (flow_degrees, degrees))] * count
+            )
+            for flow in run:
+                yield flow, results
 
     return speeds, rows()
 
@@ -353,8 +362,10 @@ def surface_grid(
     fis: SugenoFis, flow_steps: int, speed_steps: int
 ) -> Iterator[tuple[float, float, InferenceResult]]:
     """Yield (flow, speed, InferenceResult) for every cell of the surface
-    ``export_surface`` writes, flow-major.  The arguments are checked, and
-    raise, when this is called, not when the first cell is taken."""
+    ``export_surface`` writes, flow-major, each bit-identical to ``infer``
+    though the kernel runs once per run pair (see ``_surface_rows``).  The
+    arguments are checked, and raise, when this is called, not when the
+    first cell is taken."""
     speeds, rows = _surface_rows(fis, flow_steps, speed_steps)
     return (
         (flow, speed, InferenceResult(*result))
@@ -367,19 +378,22 @@ def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
     """Render the raw inference surface as CSV ``flow_vph,speed_kmh,raw_los``.
 
     Values are raw, not rounded, so anomaly zones show up as the zero
-    plateau.  Numbers use repr, the shortest round-trip form; each speed and
-    each flow is formatted once, and each row joined once.  Arguments are
-    checked as for ``surface_grid``.
+    plateau; each is bit-identical to ``infer``, though the kernel runs once
+    per run pair (see ``_surface_rows``).  Numbers use repr, the shortest
+    round-trip form.  Each speed and each flow is formatted once, a row's
+    ``,speed,raw`` tails once per flow run, and each row joined once.
+    Arguments are checked as for ``surface_grid``.
     """
     speeds, rows = _surface_rows(fis, flow_steps, speed_steps)
     speed_texts = [f",{speed!r}," for speed in speeds]
     lines = ["flow_vph,speed_kmh,raw_los"]
+    last = tails = None
     for flow, results in rows:
+        if results is not last:
+            last = results
+            tails = [f"{speed_text}{raw!r}" for speed_text, (raw, _, _) in zip(speed_texts, results)]
         flow_text = repr(flow)
-        lines.append("\n".join([
-            f"{flow_text}{speed_text}{raw!r}"
-            for speed_text, (raw, _, _) in zip(speed_texts, results)
-        ]))
+        lines.append(flow_text + ("\n" + flow_text).join(tails))
     return "\n".join(lines) + "\n"
 
 

@@ -23,6 +23,7 @@ from fuzzylos import (
     parse_fis,
     surface_grid,
 )
+from fuzzylos.engine import grid_value
 from helpers import brute_force_raw, random_fis, random_point, rule_strength
 
 
@@ -494,5 +495,18 @@ def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_fis, def
         for flow, speed in points + [(7000.0, 50.0), (700.0, -1.0)]
     ]
     assert count(lambda: evaluate(default_fis, default_model, data)) == 3
+    # A grid this coarse repeats no (cell, degrees), so every cell fires.
     assert count(lambda: export_surface(default_fis, 7, 5)) == 35
     assert count(lambda: list(surface_grid(default_fis, 7, 5))) == 35
+
+    # A dense grid fires once per pair of runs: consecutive grid values whose
+    # cell and degrees are equal share one kernel call.
+    def runs(var):
+        return len(list(itertools.groupby(
+            var._cell_degrees(grid_value(*var.domain, 100, i)) for i in range(100)
+        )))
+
+    flow_runs, speed_runs = map(runs, default_fis.inputs)
+    assert (flow_runs, speed_runs) == (46, 61)
+    assert count(lambda: export_surface(default_fis, 100, 100)) == flow_runs * speed_runs < 10_000
+    assert count(lambda: list(surface_grid(default_fis, 100, 100))) == flow_runs * speed_runs

@@ -28,6 +28,7 @@ from fuzzylos import (
     surface_grid,
 )
 from fuzzylos.engine import grid_value
+from helpers import random_fis
 
 HEADER = "timestamp,speed_kmh,flow_vph\n"
 OVERLONG = "x" * (csv.field_size_limit() + 1)  # a field the csv module refuses
@@ -399,6 +400,37 @@ class TestSurface:
                 raw = infer(default_fis, {"TrafficFlow": flow, "Speed": speed}).raw
                 expected.append(f"{flow!r},{speed!r},{raw!r}")
         assert export_surface(default_fis, 21, 21).splitlines() == expected
+
+    @pytest.mark.parametrize("operator", ["min", "product"])
+    def test_dense_grids_equal_infer_bitwise(self, default_fis, operator):
+        # Dense grids hold long runs of equal (cell, degrees), which share one
+        # kernel call; every cell must still be pointwise inference.
+        systems = [(default_fis, 150, 150)] + [
+            (random_fis(random.Random(seed), max_inputs=2, min_inputs=2), flow_steps, speed_steps)
+            for seed, flow_steps, speed_steps in [(9, 60, 120), (18, 120, 60), (12, 90, 97)]
+        ]
+        surfaces = []
+        for fis, flow_steps, speed_steps in systems:
+            fis = dataclasses.replace(fis, and_operator=operator)
+            names = [var.name for var in fis.inputs]
+            expected = ["flow_vph,speed_kmh,raw_los"]
+            rows = {}
+            for flow, speed, result in surface_grid(fis, flow_steps, speed_steps):
+                point = infer(fis, dict(zip(names, (flow, speed))))
+                assert result == point
+                assert result.raw.hex() == point.raw.hex()
+                expected.append(f"{flow!r},{speed!r},{point.raw!r}")
+                rows.setdefault(flow, []).append(result)
+            assert export_surface(fis, flow_steps, speed_steps).splitlines() == expected
+            assert len(rows) == flow_steps
+            surfaces.append(rows)
+        # Consecutive flows in one ramp cell have different degrees, and their
+        # rows must not merge.
+        flow_var = default_fis.inputs[0]
+        flows = [grid_value(*flow_var.domain, 150, i) for i in range(150)]
+        (cell, low), (next_cell, high) = map(flow_var._cell_degrees, flows[40:42])
+        assert cell == next_cell and low != high
+        assert surfaces[0][flows[40]] != surfaces[0][flows[41]]
 
     def test_step_validation(self, default_fis):
         flow_var, speed_var = default_fis.inputs
