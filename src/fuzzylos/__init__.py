@@ -38,7 +38,6 @@ from .pipeline import (
     generate_synthetic,
     ingest,
     label_csv,
-    surface_grid,
 )
 from .regions import (
     LOS_DESCRIPTIONS,
@@ -51,7 +50,7 @@ from .regions import (
     oracle_label,
     parse_regions,
 )
-from .rulegen import RuleConflictError, generate_rules, half_cut
+from .rulegen import RuleConflictError, generate_rules
 
 __version__ = "0.1.0"
 
@@ -107,7 +106,6 @@ __all__ = [
     "export_surface",
     "generate_rules",
     "generate_synthetic",
-    "half_cut",
     "infer",
     "ingest",
     "label_csv",
@@ -118,5 +116,4 @@ __all__ = [
     "parse_fis",
     "parse_regions",
     "serialize",
-    "surface_grid",
 ]

@@ -18,10 +18,10 @@ only parsed, serialized or replaced pays nothing for them.  Inference
 fuzzifies each input once, in ``FuzzyVariable.degrees``, which owns the
 domain check and finds the cell, and fires the cells' candidate rules in one
 kernel, ``SugenoFis._fire``, the only code that evaluates a rule; it resolves
-the AND operator once per call.  ``infer``, ``regions.classifier`` and the
-surface row producer of ``pipeline`` share both, so a classification or a
-surface cell is bit-identical to pointwise inference; the row producer calls
-the kernel once per run of grid values with equal cell and degrees.
+the AND operator once per call.  ``infer``, ``regions.classifier`` and
+``pipeline.export_surface`` share both, so a classification or a surface
+cell is bit-identical to pointwise inference; the export calls the kernel
+once per pair of runs of grid values with equal cell and degrees.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class TrapezoidMF:
 
     def degree(self, x: float) -> float:
         """Membership degree of x, in [0, 1].  Total: never raises."""
-        if x < self.a or x > self.d:
+        if not self.a <= x <= self.d:
             return 0.0
         if self.b <= x <= self.c:
             return 1.0
@@ -216,7 +216,6 @@ class InferenceResult:
 
     raw: float
     fired_rule_count: int
-    total_strength: float
 
     @property
     def is_anomaly(self) -> bool:
@@ -312,11 +311,11 @@ class SugenoFis:
 
     def _fire(
         self, cells: tuple[int, ...], degrees: Sequence[Sequence[float]]
-    ) -> tuple[float, int, float]:
+    ) -> tuple[float, int]:
         """The inference kernel, the only code that fires a rule: fire the
         cells' candidate rules on fuzzified inputs and return ``(raw,
-        fired_rule_count, total_strength)``.  It checks nothing; callers
-        check the domain, in ``_cell_degrees``, and the rule base first.
+        fired_rule_count)``.  It checks nothing; callers check the domain,
+        in ``_cell_degrees``, and the rule base first.
 
         ``cells[i]`` and ``degrees[i]`` are what ``_cell_degrees`` gives for
         input i.  The candidates of a cell tuple, built on its first call and
@@ -365,14 +364,13 @@ class SugenoFis:
                 if consequent > c_max:
                     c_max = consequent
         if not weights:
-            return 0.0, 0, 0.0
-        total = fsum(weights)
-        raw = fsum(contributions) / total
+            return 0.0, 0
+        raw = fsum(contributions) / fsum(weights)
         if raw < c_min:
             raw = c_min
         elif raw > c_max:
             raw = c_max
-        return raw, len(weights), total
+        return raw, len(weights)
 
 
 def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:

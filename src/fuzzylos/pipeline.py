@@ -18,7 +18,7 @@ from datetime import datetime, timedelta
 from itertools import groupby
 from typing import Iterable, Iterator
 
-from .engine import InferenceResult, OutOfDomainError, SugenoFis, grid_value
+from .engine import OutOfDomainError, SugenoFis, grid_value
 from .regions import LosRegionModel, classifier, los_inputs, oracle_label
 
 CSV_HEADER = ("timestamp", "speed_kmh", "flow_vph")
@@ -314,86 +314,44 @@ def evaluate(
     return report
 
 
-def _surface_rows(
-    fis: SugenoFis, flow_steps: int, speed_steps: int
-) -> tuple[list[float], Iterator[tuple[float, tuple[tuple[float, int, float], ...]]]]:
-    """The one producer of surfaces: check the arguments, then return the
-    grid's speeds and an iterator of its rows, flow ascending, each
-    ``(flow, results)`` with the kernel's ``(raw, fired_rule_count,
-    total_strength)`` for every speed.
+def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
+    """Render the raw inference surface as CSV ``flow_vph,speed_kmh,raw_los``.
 
     Both axes are inclusive even grids whose last values are the domain
-    maxima themselves.  The checks run here, not at the first row: step
-    counts that are not ints of at least 2 raise ValueError, and a system
-    without exactly two inputs (flow first) or without rules raises
-    FisConfigError.  Each speed is fuzzified once and each flow once, domain
-    check and cell lookup included.  A run is a stretch of consecutive grid
-    values with equal ``_cell_degrees``, cell and degrees; the grids ascend,
-    so equal keys are adjacent.  The kernel ``infer`` uses, a pure function
-    of its inputs, runs once per pair of flow run and speed run; degrees are
-    never NaN or -0.0, so equal keys are identical inputs and each cell is
-    bit-identical to pointwise inference.  Consecutive rows may be one tuple.
+    maxima themselves; rows run flow-major.  Values are raw, not rounded, so
+    anomaly zones show up as the zero plateau.  Numbers use repr, the
+    shortest round-trip form.  Step counts that are not ints of at least 2
+    raise ValueError, and a system without exactly two inputs (flow first)
+    or without rules raises FisConfigError.
+
+    Each speed and each flow is fuzzified once, domain check and cell lookup
+    included.  A run is a stretch of consecutive grid values with equal
+    ``_cell_degrees``, cell and degrees; the grids ascend, so equal keys are
+    adjacent.  The kernel ``infer`` uses, a pure function of its inputs,
+    runs once per pair of flow run and speed run, and its raw value is
+    formatted once per pair; degrees are never NaN or -0.0, so equal keys
+    are identical inputs and each value is bit-identical to ``infer``.
     """
     if not all(type(steps) is int and steps >= 2 for steps in (flow_steps, speed_steps)):
         raise ValueError("surface export needs at least 2 steps per axis")
     flow_var, speed_var = los_inputs(fis)
     fis.check_rules()
-    speeds = [grid_value(*speed_var.domain, speed_steps, j) for j in range(speed_steps)]
+    speeds = (grid_value(*speed_var.domain, speed_steps, j) for j in range(speed_steps))
     speed_runs = [
-        (key, sum(1 for _ in run)) for key, run in groupby(map(speed_var._cell_degrees, speeds))
+        (key, [f",{speed!r}," for speed in run])
+        for key, run in groupby(speeds, speed_var._cell_degrees)
     ]
     fire = fis._fire
-
-    def rows():
-        flows = (grid_value(*flow_var.domain, flow_steps, i) for i in range(flow_steps))
-        for (flow_cell, flow_degrees), run in groupby(flows, flow_var._cell_degrees):
-            results = tuple(
-                result
-                for (speed_cell, degrees), count in speed_runs
-                for result in [fire((flow_cell, speed_cell), (flow_degrees, degrees))] * count
-            )
-            for flow in run:
-                yield flow, results
-
-    return speeds, rows()
-
-
-def surface_grid(
-    fis: SugenoFis, flow_steps: int, speed_steps: int
-) -> Iterator[tuple[float, float, InferenceResult]]:
-    """Yield (flow, speed, InferenceResult) for every cell of the surface
-    ``export_surface`` writes, flow-major, each bit-identical to ``infer``
-    though the kernel runs once per run pair (see ``_surface_rows``).  The
-    arguments are checked, and raise, when this is called, not when the
-    first cell is taken."""
-    speeds, rows = _surface_rows(fis, flow_steps, speed_steps)
-    return (
-        (flow, speed, InferenceResult(*result))
-        for flow, results in rows
-        for speed, result in zip(speeds, results)
-    )
-
-
-def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
-    """Render the raw inference surface as CSV ``flow_vph,speed_kmh,raw_los``.
-
-    Values are raw, not rounded, so anomaly zones show up as the zero
-    plateau; each is bit-identical to ``infer``, though the kernel runs once
-    per run pair (see ``_surface_rows``).  Numbers use repr, the shortest
-    round-trip form.  Each speed and each flow is formatted once, a row's
-    ``,speed,raw`` tails once per flow run, and each row joined once.
-    Arguments are checked as for ``surface_grid``.
-    """
-    speeds, rows = _surface_rows(fis, flow_steps, speed_steps)
-    speed_texts = [f",{speed!r}," for speed in speeds]
+    flows = (grid_value(*flow_var.domain, flow_steps, i) for i in range(flow_steps))
     lines = ["flow_vph,speed_kmh,raw_los"]
-    last = tails = None
-    for flow, results in rows:
-        if results is not last:
-            last = results
-            tails = [f"{speed_text}{raw!r}" for speed_text, (raw, _, _) in zip(speed_texts, results)]
-        flow_text = repr(flow)
-        lines.append(flow_text + ("\n" + flow_text).join(tails))
+    for (flow_cell, flow_degrees), run in groupby(flows, flow_var._cell_degrees):
+        tails = []
+        for (speed_cell, degrees), speed_texts in speed_runs:
+            raw_text = repr(fire((flow_cell, speed_cell), (flow_degrees, degrees))[0])
+            tails += [speed_text + raw_text for speed_text in speed_texts]
+        for flow in run:
+            flow_text = repr(flow)
+            lines.append(flow_text + ("\n" + flow_text).join(tails))
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,7 @@ line lexer of ``dsl``.
 Classification rounds a two-input system's output to a level.  ``classifier``
 checks the system once and returns the per-point function that ``classify``
 and ``pipeline.evaluate`` share: it fires the engine's one kernel,
-``SugenoFis._fire``, as ``infer`` and ``pipeline``'s surface rows do, and
+``SugenoFis._fire``, as ``infer`` and ``pipeline.export_surface`` do, and
 returns a plain ``(raw, level, boundary)``, which ``classify`` wraps.
 """
 
@@ -130,11 +130,6 @@ class LosRegionModel:
             for level, r in self.regions
         ))
 
-    def contains(self, flow: float, speed: float) -> bool:
-        flo, fhi = self.flow_domain
-        slo, shi = self.speed_domain
-        return flo <= flow <= fhi and slo <= speed <= shi
-
 
 def oracle_label(model: LosRegionModel, flow: float, speed: float) -> int | None:
     """Level of the unique rectangle containing the point, or None (unlabeled).
@@ -147,9 +142,9 @@ def oracle_label(model: LosRegionModel, flow: float, speed: float) -> int | None
     for level, flow_lo, flow_hi, speed_lo, speed_hi in model._boxes:
         if flow_lo <= flow < flow_hi and speed_lo <= speed < speed_hi:
             return level
-    if not model.contains(flow, speed):
-        flo, fhi = model.flow_domain
-        slo, shi = model.speed_domain
+    flo, fhi = model.flow_domain
+    slo, shi = model.speed_domain
+    if not (flo <= flow <= fhi and slo <= speed <= shi):
         raise OutOfDomainError(
             f"point (flow={flow}, speed={speed}) outside model domain "
             f"[{flo}, {fhi}] x [{slo}, {shi}]"
@@ -260,7 +255,7 @@ def classifier(fis: SugenoFis, epsilon: float) -> Callable[[float, float], tuple
     def rate(flow: float, speed: float) -> tuple[float, int | None, bool]:
         flow_cell, flow_degrees = flow_var._cell_degrees(flow)
         speed_cell, speed_degrees = speed_var._cell_degrees(speed)
-        raw, fired, _ = fire((flow_cell, speed_cell), (flow_degrees, speed_degrees))
+        raw, fired = fire((flow_cell, speed_cell), (flow_degrees, speed_degrees))
         if fired == 0:
             return raw, None, False
         return raw, min(max(math.floor(raw + 0.5), 1), 6), abs(raw - round(raw)) > epsilon

@@ -14,10 +14,10 @@ from fuzzylos import (
     RuleConflictError,
     SugenoFis,
     TrapezoidMF,
-    half_cut,
     oracle_label,
 )
 from fuzzylos.engine import grid_value
+from fuzzylos.rulegen import half_cut
 
 
 def _trapezoid(a, b, c, d, x):
@@ -126,13 +126,14 @@ def sampled_rules(
             return [lo]
         return [grid_value(lo, hi, grid, i) for i in range(grid)]
 
+    (flo, fhi), (slo, shi) = model.flow_domain, model.speed_domain
     rules = []
     for flow_term, flow_mf in flow_var.terms:
         for speed_term, speed_mf in speed_var.terms:
             counts: Counter[int] = Counter()
             for flow in samples(flow_mf):
                 for speed in samples(speed_mf):
-                    if not model.contains(flow, speed):
+                    if not (flo <= flow <= fhi and slo <= speed <= shi):
                         continue
                     level = oracle_label(model, flow, speed)
                     if level is not None:

@@ -21,7 +21,6 @@ from fuzzylos import (
     export_surface,
     infer,
     parse_fis,
-    surface_grid,
 )
 from fuzzylos.engine import grid_value
 from helpers import brute_force_raw, random_fis, random_point, rule_strength
@@ -50,31 +49,42 @@ def two_input_fis(and_operator="min", rules=None):
     )
 
 
-def strength_of(fis, rule, values):
-    """The firing strength of ``rule`` alone: with one rule fired, the total."""
-    return infer(dataclasses.replace(fis, rules=(rule,)), values).total_strength
+def raw_beside_a_full_rule(fis, rule, values):
+    """``raw`` of ``rule``, its consequent set to 1, beside a companion rule of
+    consequent 0 that fires at strength 1: for ``rule``'s firing strength w
+    that is exactly w / (w + 1.0), as fsum of [w, 1.0] is the correctly
+    rounded w + 1.0.  The companion is ``Rule((), 0.0)``, or, for a rule
+    without clauses, a one-clause rule whose term is 1 at ``values``."""
+    if rule.antecedent:
+        companion = Rule((), 0.0)
+    else:
+        var = fis.inputs[0]
+        term = next(name for name, mf in var.terms if mf.degree(values[var.name]) == 1.0)
+        companion = Rule(((var.name, term),), 0.0)
+    rules = (dataclasses.replace(rule, consequent=1.0), companion)
+    return infer(dataclasses.replace(fis, rules=rules), values).raw
 
 
 def test_firing_strength_min_and_annihilator():
     fis = two_input_fis()
     rule = fis.rules[0]
     # degrees: Flow lo at 40 -> 0.5, Speed hi at 6 -> 1.0
-    assert strength_of(fis, rule, {"Flow": 40.0, "Speed": 6.0}) == 0.5
+    assert raw_beside_a_full_rule(fis, rule, {"Flow": 40.0, "Speed": 6.0}) == 0.5 / 1.5
     # Flow lo at 50 -> 0.0 annihilates
-    assert strength_of(fis, rule, {"Flow": 50.0, "Speed": 8.0}) == 0.0
+    assert raw_beside_a_full_rule(fis, rule, {"Flow": 50.0, "Speed": 8.0}) == 0.0
 
 
 def test_firing_strength_product():
     fis = two_input_fis(and_operator="product")
     rule = fis.rules[0]
     # degrees 0.5 and 0.8: Speed hi at 5.6 -> 0.8
-    w = strength_of(fis, rule, {"Flow": 40.0, "Speed": 5.6})
-    assert w == pytest.approx(0.4, abs=1e-12)
+    raw = raw_beside_a_full_rule(fis, rule, {"Flow": 40.0, "Speed": 5.6})
+    assert raw == pytest.approx(0.4 / 1.4, abs=1e-12)
 
 
 def test_firing_strength_empty_antecedent_is_one():
     fis = two_input_fis()
-    assert strength_of(fis, Rule((), 2.0), {"Flow": 0.0, "Speed": 0.0}) == 1.0
+    assert raw_beside_a_full_rule(fis, Rule((), 2.0), {"Flow": 0.0, "Speed": 0.0}) == 0.5
 
 
 def test_infer_single_rule_is_exact():
@@ -83,7 +93,6 @@ def test_infer_single_rule_is_exact():
     result = infer(fis, {"Flow": 36.0, "Speed": 0.0})  # degree (50-36)/20 = 0.7
     assert result.raw == 3.0
     assert result.fired_rule_count == 1
-    assert result.total_strength == pytest.approx(0.7)
 
 
 def test_infer_equal_weight_midpoint():
@@ -102,7 +111,6 @@ def test_infer_uncovered_input_is_zero_with_no_fires(default_fis):
     result = infer(default_fis, {"TrafficFlow": 5500.0, "Speed": 75.0})
     assert result.raw == 0.0
     assert result.fired_rule_count == 0
-    assert result.total_strength == 0.0
     assert result.is_anomaly
 
 
@@ -497,7 +505,6 @@ def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_fis, def
     assert count(lambda: evaluate(default_fis, default_model, data)) == 3
     # A grid this coarse repeats no (cell, degrees), so every cell fires.
     assert count(lambda: export_surface(default_fis, 7, 5)) == 35
-    assert count(lambda: list(surface_grid(default_fis, 7, 5))) == 35
 
     # A dense grid fires once per pair of runs: consecutive grid values whose
     # cell and degrees are equal share one kernel call.
@@ -509,4 +516,3 @@ def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_fis, def
     flow_runs, speed_runs = map(runs, default_fis.inputs)
     assert (flow_runs, speed_runs) == (46, 61)
     assert count(lambda: export_surface(default_fis, 100, 100)) == flow_runs * speed_runs < 10_000
-    assert count(lambda: list(surface_grid(default_fis, 100, 100))) == flow_runs * speed_runs

@@ -32,6 +32,17 @@ def test_right_shoulder_evaluates_to_one_at_edge():
     assert mf.degree(5400.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "mf",
+    [TrapezoidMF(0, 5, 5, 10), TrapezoidMF(0, 1, 2, 3), TrapezoidMF(0, 0, 1, 2),
+     TrapezoidMF(0, 1, 2, 2)],
+    ids=["triangle", "trapezoid", "left shoulder", "right shoulder"],
+)
+def test_degree_of_nan_is_zero(mf):
+    # NaN lies in no support; a right shoulder's ramp would divide by c - d == 0
+    assert mf.degree(math.nan) == 0.0
+
+
 def test_triangle_and_spike():
     tri = TrapezoidMF(0, 5, 5, 10)
     assert tri.degree(5.0) == 1.0

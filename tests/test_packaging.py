@@ -1,15 +1,19 @@
 """The package stays dependency free: ``src/fuzzylos`` imports only the
 standard library, and ``pyproject.toml`` declares ``dependencies = []``.
-No module but ``engine`` imports a private engine name.
+No module but ``engine`` imports a private engine name.  ``__all__`` names
+exactly the public classes and functions the package binds.
 
 ``pyproject.toml`` is read with a plain text match, since ``tomllib`` is
 missing before Python 3.11.
 """
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
+
+import fuzzylos
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,3 +58,20 @@ def test_only_the_engine_uses_its_private_names():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r"^dependencies\s*=.*$", text, re.MULTILINE) == ["dependencies = []"]
+
+
+def test_all_names_exactly_the_public_api():
+    """A name cannot be half deleted: ``import *`` binds exactly ``__all__``,
+    which has no duplicates and holds every public class and function the
+    package binds."""
+    namespace: dict = {}
+    exec("from fuzzylos import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(fuzzylos.__all__)
+    assert len(set(fuzzylos.__all__)) == len(fuzzylos.__all__)
+    public = {
+        name
+        for name, value in vars(fuzzylos).items()
+        if not name.startswith("_") and (inspect.isclass(value) or inspect.isfunction(value))
+    }
+    assert public - set(fuzzylos.__all__) == set()

@@ -25,7 +25,6 @@ from fuzzylos import (
     ingest,
     label_csv,
     oracle_label,
-    surface_grid,
 )
 from fuzzylos.engine import grid_value
 from helpers import random_fis
@@ -131,8 +130,9 @@ class TestSyntheticData:
         data = generate_synthetic(default_model, 3825, seed=1)
         assert len(data) == 3825
         margin = 20.0
+        (flo, fhi), (slo, shi) = default_model.flow_domain, default_model.speed_domain
         for m in data:
-            assert default_model.contains(m.flow, m.speed)
+            assert flo <= m.flow <= fhi and slo <= m.speed <= shi
             near = any(
                 rect.flow_lo - margin <= m.flow <= rect.flow_hi + margin
                 and rect.speed_lo - margin <= m.speed <= rect.speed_hi + margin
@@ -379,8 +379,11 @@ class TestSurface:
         assert coords == [(0.0, 0.0), (0.0, 80.0), (6000.0, 0.0), (6000.0, 80.0)]
 
     def test_values_in_range(self, default_fis):
-        for _, _, result in surface_grid(default_fis, 25, 25):
-            assert result.raw == 0.0 or 1.0 <= result.raw <= 6.0
+        lines = export_surface(default_fis, 25, 25).splitlines()
+        assert len(lines) == 1 + 25 * 25
+        for line in lines[1:]:
+            raw = float(line.split(",")[2])
+            assert raw == 0.0 or 1.0 <= raw <= 6.0
 
     def test_plateau_cell_exact(self, default_fis):
         text = export_surface(default_fis, 51, 41)
@@ -412,42 +415,44 @@ class TestSurface:
         surfaces = []
         for fis, flow_steps, speed_steps in systems:
             fis = dataclasses.replace(fis, and_operator=operator)
-            names = [var.name for var in fis.inputs]
+            (flow_name, flow_domain), (speed_name, speed_domain) = (
+                (var.name, var.domain) for var in fis.inputs
+            )
             expected = ["flow_vph,speed_kmh,raw_los"]
-            rows = {}
-            for flow, speed, result in surface_grid(fis, flow_steps, speed_steps):
-                point = infer(fis, dict(zip(names, (flow, speed))))
-                assert result == point
-                assert result.raw.hex() == point.raw.hex()
-                expected.append(f"{flow!r},{speed!r},{point.raw!r}")
-                rows.setdefault(flow, []).append(result)
-            assert export_surface(fis, flow_steps, speed_steps).splitlines() == expected
-            assert len(rows) == flow_steps
-            surfaces.append(rows)
+            for i in range(flow_steps):
+                flow = grid_value(*flow_domain, flow_steps, i)
+                for j in range(speed_steps):
+                    speed = grid_value(*speed_domain, speed_steps, j)
+                    raw = infer(fis, {flow_name: flow, speed_name: speed}).raw
+                    expected.append(f"{flow!r},{speed!r},{raw!r}")
+            lines = export_surface(fis, flow_steps, speed_steps).splitlines()
+            assert lines == expected
+            surfaces.append(lines)
         # Consecutive flows in one ramp cell have different degrees, and their
-        # rows must not merge.
+        # rows must not merge: their raw values differ somewhere.
         flow_var = default_fis.inputs[0]
         flows = [grid_value(*flow_var.domain, 150, i) for i in range(150)]
         (cell, low), (next_cell, high) = map(flow_var._cell_degrees, flows[40:42])
         assert cell == next_cell and low != high
-        assert surfaces[0][flows[40]] != surfaces[0][flows[41]]
+        cells = surfaces[0][1:]
+        row, next_row = ([line.rsplit(",", 1)[1] for line in cells[150 * i:150 * (i + 1)]]
+                         for i in (40, 41))
+        assert row != next_row
 
     def test_step_validation(self, default_fis):
         flow_var, speed_var = default_fis.inputs
         lanes = dataclasses.replace(speed_var, name="Lanes")
         three_inputs = dataclasses.replace(default_fis, inputs=(flow_var, speed_var, lanes))
         rule_free = dataclasses.replace(default_fis, rules=())
-        # Each call must raise itself: the cells are never taken.
-        for function, fis, flow_steps, speed_steps, error, message in [
-            (export_surface, default_fis, 1, 10, ValueError, "at least 2 steps"),
-            (export_surface, default_fis, 3.0, 3, ValueError, "at least 2 steps"),
-            (export_surface, default_fis, 3, 2.5, ValueError, "at least 2 steps"),
-            (surface_grid, default_fis, 1, 10, ValueError, "at least 2 steps"),
-            (surface_grid, three_inputs, 5, 5, FisConfigError, "two-input system"),
-            (surface_grid, rule_free, 5, 5, FisConfigError, "empty rule base"),
+        for fis, flow_steps, speed_steps, error, message in [
+            (default_fis, 1, 10, ValueError, "at least 2 steps"),
+            (default_fis, 3.0, 3, ValueError, "at least 2 steps"),
+            (default_fis, 3, 2.5, ValueError, "at least 2 steps"),
+            (three_inputs, 5, 5, FisConfigError, "two-input system"),
+            (rule_free, 5, 5, FisConfigError, "empty rule base"),
         ]:
             with pytest.raises(error, match=message):
-                function(fis, flow_steps, speed_steps)
+                export_surface(fis, flow_steps, speed_steps)
 
 
 class TestLabelCsv:

@@ -4,11 +4,11 @@ Systems come from ``helpers.random_fis`` seeded by hypothesis, and from
 ``coinciding_systems``, whose breakpoints coincide; each one is run under
 both AND operators.  ``infer`` must agree with the independent brute-force
 evaluator, on and 1 ulp around every breakpoint too, and a point's candidate
-rules must be exactly the rules it fires.  Every cell of a random
-two-input surface, and ``classify`` at that cell, reach the kernel without
-going through ``infer``: both must be bit-identical to pointwise inference,
-and ``classify`` must round, clamp and flag boundaries and anomalies by its
-rule; ``export_surface`` must write exactly those cells, line by line.
+rules must be exactly the rules it fires.  ``export_surface`` and
+``classify`` reach the kernel without going through ``infer``: every line of
+a random two-input surface must be pointwise inference at its grid
+coordinates, text for text, and ``classify`` there must be bit-identical to
+it and round, clamp and flag boundaries and anomalies by its rule.
 ``ingest`` must read back exactly what ``csv.writer`` wrote, and what
 ``label_csv`` wrote from it.  ``oracle_label`` must follow the containment
 rule on, and 1 ulp to either side of, every rectangle edge and envelope
@@ -31,6 +31,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fuzzylos as fz
+from fuzzylos.engine import grid_value
 from helpers import brute_force_raw, random_fis, sampled_rules
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -144,15 +145,25 @@ def test_a_points_candidates_are_exactly_its_fired_rules(fis, data):
     flow_steps=st.integers(min_value=2, max_value=9),
     speed_steps=st.integers(min_value=2, max_value=9),
 )
-def test_surface_cells_are_bit_identical_to_infer(seed, operator, flow_steps, speed_steps):
+def test_export_surface_writes_the_grid_cell_by_cell(seed, operator, flow_steps, speed_steps):
+    # Unequal step counts, so a row that borrows the other axis' texts shows.
+    assume(flow_steps != speed_steps)
     fis = system(seed, operator, min_inputs=2, max_inputs=2)
-    flow_name, speed_name = (var.name for var in fis.inputs)
-    cells = list(fz.surface_grid(fis, flow_steps, speed_steps))
-    assert len(cells) == flow_steps * speed_steps
-    for flow, speed, result in cells:
+    (flow_name, flow_domain), (speed_name, speed_domain) = (
+        (var.name, var.domain) for var in fis.inputs
+    )
+    lines = fz.export_surface(fis, flow_steps, speed_steps).splitlines()
+    assert lines[0] == "flow_vph,speed_kmh,raw_los"
+    assert len(lines) == 1 + flow_steps * speed_steps
+    cells = (
+        (grid_value(*flow_domain, flow_steps, i), grid_value(*speed_domain, speed_steps, j))
+        for i in range(flow_steps)
+        for j in range(speed_steps)
+    )
+    for line, (flow, speed) in zip(lines[1:], cells):
         expected = fz.infer(fis, {flow_name: flow, speed_name: speed})
-        assert result == expected
-        assert bits(result.raw) == bits(expected.raw)
+        # repr round-trips, so equal text is equal bits, a -0.0 included
+        assert line == f"{flow!r},{speed!r},{expected.raw!r}"
         rated = fz.classify(fis, flow, speed)
         assert bits(rated.raw) == bits(expected.raw)
         assert (rated.level is None) == (expected.fired_rule_count == 0)
@@ -160,24 +171,6 @@ def test_surface_cells_are_bit_identical_to_infer(seed, operator, flow_steps, sp
             # consequents span [-10, 20], so the clamp into 1..6 is exercised
             assert rated.level == min(max(math.floor(expected.raw + 0.5), 1), 6)
             assert rated.boundary == (abs(expected.raw - round(expected.raw)) > 0.05)
-
-
-@PROPERTY_SETTINGS
-@given(
-    seed=seeds,
-    operator=operators,
-    flow_steps=st.integers(min_value=2, max_value=9),
-    speed_steps=st.integers(min_value=2, max_value=9),
-)
-def test_export_surface_writes_the_grid_cell_by_cell(seed, operator, flow_steps, speed_steps):
-    # Unequal step counts, so a row that borrows the other axis' texts shows.
-    assume(flow_steps != speed_steps)
-    fis = system(seed, operator, min_inputs=2, max_inputs=2)
-    cells = fz.surface_grid(fis, flow_steps, speed_steps)
-    expected = "".join(f"{flow!r},{speed!r},{result.raw!r}\n" for flow, speed, result in cells)
-    assert fz.export_surface(fis, flow_steps, speed_steps) == (
-        "flow_vph,speed_kmh,raw_los\n" + expected
-    )
 
 
 # Small integers make core samples land exactly on rectangle edges and on

@@ -8,8 +8,8 @@ from fuzzylos import (
     RuleConflictError,
     TrapezoidMF,
     generate_rules,
-    half_cut,
 )
+from fuzzylos.rulegen import half_cut
 
 
 def test_half_cut():
