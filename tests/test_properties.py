@@ -5,10 +5,11 @@ Systems come from ``helpers.random_fis`` seeded by hypothesis, and from
 both AND operators.  ``infer`` must agree with the independent brute-force
 evaluator, on and 1 ulp around every breakpoint too, and a point's candidate
 rules must be exactly the rules it fires.  ``export_surface`` and
-``classify`` reach the kernel without going through ``infer``: every line of
-a random two-input surface must be pointwise inference at its grid
-coordinates, text for text, and ``classify`` there must be bit-identical to
-it and round, clamp and flag boundaries and anomalies by its rule.
+``classify`` reach the kernel without going through ``infer``: every cell of
+a random two-input surface, and ``classify`` at that cell, must be
+bit-identical to pointwise inference, and ``classify`` must round, clamp and
+flag boundaries and anomalies by its rule; ``export_surface`` must write
+exactly those cells, line by line, text for text.
 ``ingest`` must read back exactly what ``csv.writer`` wrote, and what
 ``label_csv`` wrote from it.  ``oracle_label`` must follow the containment
 rule on, and 1 ulp to either side of, every rectangle edge and envelope
@@ -138,6 +139,45 @@ def test_a_points_candidates_are_exactly_its_fired_rules(fis, data):
     assert len(fis._candidates[cells]) == result.fired_rule_count
 
 
+def grid_cells(fis, flow_steps, speed_steps):
+    """The surface's grid coordinates, flow-major, as ``export_surface`` walks them."""
+    flow_domain, speed_domain = (var.domain for var in fis.inputs)
+    return [
+        (grid_value(*flow_domain, flow_steps, i), grid_value(*speed_domain, speed_steps, j))
+        for i in range(flow_steps)
+        for j in range(speed_steps)
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=seeds,
+    operator=operators,
+    flow_steps=st.integers(min_value=2, max_value=9),
+    speed_steps=st.integers(min_value=2, max_value=9),
+)
+def test_surface_cells_are_bit_identical_to_infer(seed, operator, flow_steps, speed_steps):
+    fis = system(seed, operator, min_inputs=2, max_inputs=2)
+    flow_name, speed_name = (var.name for var in fis.inputs)
+    rows = [
+        tuple(float(text) for text in line.split(","))
+        for line in fz.export_surface(fis, flow_steps, speed_steps).splitlines()[1:]
+    ]
+    cells = grid_cells(fis, flow_steps, speed_steps)
+    assert len(rows) == len(cells) == flow_steps * speed_steps
+    for (flow_out, speed_out, raw), (flow, speed) in zip(rows, cells):
+        assert (bits(flow_out), bits(speed_out)) == (bits(flow), bits(speed))
+        expected = fz.infer(fis, {flow_name: flow, speed_name: speed})
+        assert bits(raw) == bits(expected.raw)
+        rated = fz.classify(fis, flow, speed)
+        assert bits(rated.raw) == bits(expected.raw)
+        assert (rated.level is None) == (expected.fired_rule_count == 0)
+        if rated.level is not None:
+            # consequents span [-10, 20], so the clamp into 1..6 is exercised
+            assert rated.level == min(max(math.floor(expected.raw + 0.5), 1), 6)
+            assert rated.boundary == (abs(expected.raw - round(expected.raw)) > 0.05)
+
+
 @PROPERTY_SETTINGS
 @given(
     seed=seeds,
@@ -149,28 +189,15 @@ def test_export_surface_writes_the_grid_cell_by_cell(seed, operator, flow_steps,
     # Unequal step counts, so a row that borrows the other axis' texts shows.
     assume(flow_steps != speed_steps)
     fis = system(seed, operator, min_inputs=2, max_inputs=2)
-    (flow_name, flow_domain), (speed_name, speed_domain) = (
-        (var.name, var.domain) for var in fis.inputs
+    flow_name, speed_name = (var.name for var in fis.inputs)
+    expected = "".join(
+        f"{flow!r},{speed!r},{fz.infer(fis, {flow_name: flow, speed_name: speed}).raw!r}\n"
+        for flow, speed in grid_cells(fis, flow_steps, speed_steps)
     )
-    lines = fz.export_surface(fis, flow_steps, speed_steps).splitlines()
-    assert lines[0] == "flow_vph,speed_kmh,raw_los"
-    assert len(lines) == 1 + flow_steps * speed_steps
-    cells = (
-        (grid_value(*flow_domain, flow_steps, i), grid_value(*speed_domain, speed_steps, j))
-        for i in range(flow_steps)
-        for j in range(speed_steps)
+    # repr round-trips, so equal text is equal bits, a -0.0 included
+    assert fz.export_surface(fis, flow_steps, speed_steps) == (
+        "flow_vph,speed_kmh,raw_los\n" + expected
     )
-    for line, (flow, speed) in zip(lines[1:], cells):
-        expected = fz.infer(fis, {flow_name: flow, speed_name: speed})
-        # repr round-trips, so equal text is equal bits, a -0.0 included
-        assert line == f"{flow!r},{speed!r},{expected.raw!r}"
-        rated = fz.classify(fis, flow, speed)
-        assert bits(rated.raw) == bits(expected.raw)
-        assert (rated.level is None) == (expected.fired_rule_count == 0)
-        if rated.level is not None:
-            # consequents span [-10, 20], so the clamp into 1..6 is exercised
-            assert rated.level == min(max(math.floor(expected.raw + 0.5), 1), 6)
-            assert rated.boundary == (abs(expected.raw - round(expected.raw)) > 0.05)
 
 
 # Small integers make core samples land exactly on rectangle edges and on
