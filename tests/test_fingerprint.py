@@ -1,0 +1,101 @@
+"""Committed output fingerprints: sha256 digests of whole outputs.
+
+The other tests compare outputs with an independent evaluator within 1e-12,
+or one code path with another of the same package.  These pin the bits
+themselves: the shipped system's surface at several grids under both AND
+operators, the surfaces of seeded random two-input systems, the C1
+evaluation report, a labelled CSV and the serialized generated rule base.
+A change that moves a digest on purpose updates it here and says which
+outputs changed and why.
+"""
+
+import dataclasses
+import hashlib
+import json
+import random
+
+import pytest
+
+import fuzzylos as fz
+from fuzzylos.engine import grid_value
+from helpers import random_fis
+
+GRIDS = ((2, 2), (7, 5), (100, 100), (401, 263))
+
+SHIPPED_SURFACES = {
+    "min": {
+        (2, 2): "db34174300b3d4c8bd92e8c51f14e7a713f4fae70b56e5723da5d8f423cdff9d",
+        (7, 5): "6c676511a48d829f89c5342a98626565643b13dcbb7c0b183584978be09d1fa1",
+        (100, 100): "31977e195fa6a22851829823f6801a95c94fcb55c00d4d0adb34a5e15dc33519",
+        (401, 263): "1be1ab2e20f000176dc4a4dd5f9105b617d4ba620f72b2144e890a1264eb706e",
+    },
+    "product": {
+        (2, 2): "db34174300b3d4c8bd92e8c51f14e7a713f4fae70b56e5723da5d8f423cdff9d",
+        (7, 5): "f262272d8870bf8ff1aca8550f58df3f9af4fd56ed1713c5b057b08fd5b18643",
+        (100, 100): "6905c18cec44ab01c2451b8a9941d31f4ca287c4302b2480daadf6dade05409f",
+        (401, 263): "a4455186aa4554e6d3874c8642245cc8be3bb16281e9b4997ee147f65483f88b",
+    },
+}
+
+RANDOM_SYSTEMS = 100  # two-input systems drawn from random.Random(RANDOM_SEED)
+RANDOM_SEED = 2024
+RANDOM_SURFACES = {
+    "min": "a6172dac099ab147a05ae479b647e896714bde50214feb77e86fc7222d4e103a",
+    "product": "d2e4ea5b200989166811c79a03c6fe579e9b4759736864445e9d1356d59d2abe",
+}
+
+C1_REPORT = "986f302f10456ef2a37c2644dccc2216bb8c1da8453fa86d83da1886c7ea92c2"
+LABELED_CSV = "4a20138f32b1c96a62e27b2962cf0a7ef38fbf8a33adaeb363e5eaadf6a158e6"
+GENERATED_RULES = "8119949d7410cb0ca4d44bb8297edbf7cd91f1cc17be457881b2fce79b2013d3"
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("operator", ["min", "product"])
+def test_shipped_surfaces(default_fis, operator):
+    fis = dataclasses.replace(default_fis, and_operator=operator)
+    digests = {steps: digest(fz.export_surface(fis, *steps)) for steps in GRIDS}
+    assert digests == SHIPPED_SURFACES[operator]
+
+
+@pytest.mark.parametrize("operator", ["min", "product"])
+def test_random_surfaces(operator):
+    rng = random.Random(RANDOM_SEED)
+    text = "".join(
+        fz.export_surface(
+            dataclasses.replace(random_fis(rng, min_inputs=2, max_inputs=2), and_operator=operator),
+            23,
+            31,
+        )
+        for _ in range(RANDOM_SYSTEMS)
+    )
+    assert digest(text) == RANDOM_SURFACES[operator]
+
+
+def test_c1_report(default_fis, default_model):
+    data = fz.generate_synthetic(default_model, 3825, seed=1)
+    report = fz.evaluate(default_fis, default_model, data)
+    assert digest(json.dumps(report.to_dict(), sort_keys=True)) == C1_REPORT
+
+
+def test_labeled_csv(default_model):
+    # a grid over the model's envelope, both ends included, with a quoted
+    # timestamp holding a comma and one holding a carriage return
+    (flo, fhi), (slo, shi) = default_model.flow_domain, default_model.speed_domain
+    rows = [
+        f"t{i}-{j},{grid_value(slo, shi, 17, j)!r},{grid_value(flo, fhi, 23, i)!r}"
+        for i in range(23)
+        for j in range(17)
+    ]
+    rows += ['"a,b",50,1200', '"c\rd",12.5,4000']
+    text = "timestamp,speed_kmh,flow_vph\n" + "\n".join(rows) + "\n"
+    assert digest(fz.label_csv(default_model, text)) == LABELED_CSV
+
+
+def test_generated_rules(default_fis, default_model):
+    flow_var, speed_var = default_fis.inputs
+    rules = fz.generate_rules(default_model, flow_var, speed_var)
+    text = fz.serialize(dataclasses.replace(default_fis, rules=rules))
+    assert digest(text) == GENERATED_RULES
