@@ -14,14 +14,15 @@ terms' constant degrees and the ramps to evaluate.  A term is active in a cell
 when it is positive there, and a rule is a candidate for a tuple of cells when
 every clause names an active term: exactly the rules that can fire there.
 Both tables are built lazily, on the first inference, so a system that is
-only parsed, serialized or replaced pays nothing for them.  Inference
-fuzzifies each input once, in ``FuzzyVariable.degrees``, which owns the
-domain check and finds the cell, and fires the cells' candidate rules in one
-kernel, ``SugenoFis._fire``, the only code that evaluates a rule; it resolves
-the AND operator once per call.  ``infer``, ``regions.classifier`` and
-``pipeline.export_surface`` share both, so a classification or a surface
-cell is bit-identical to pointwise inference; the export calls the kernel
-once per pair of runs of grid values with equal cell and degrees.
+only parsed, serialized or replaced pays nothing for them.  Inference locates
+each input's cell, in ``FuzzyVariable._locate``, which owns the domain check,
+and reads the cell tuple's memo record: its candidate rules and, where the
+output cannot depend on the point, the decided output.  Only an undecided
+tuple is fuzzified, by ``_fill``, and fired, in one kernel,
+``SugenoFis._fire``, the only code that evaluates a rule; it decides each
+record too.  ``infer``, ``regions.classifier`` and ``pipeline.export_surface``
+share all of it, so a classification or a surface cell is bit-identical to
+pointwise inference.
 """
 
 from __future__ import annotations
@@ -145,28 +146,29 @@ class FuzzyVariable:
     def term_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
 
-    def degrees(self, x: float) -> list[float]:
-        """Membership degree of x in every term, in declaration order;
-        OutOfDomainError if x (NaN included) lies outside the domain.
-
-        Only the ramps of x's cell are evaluated; every other degree is a
-        constant of the cell."""
-        return self._cell_degrees(x)[1]
-
     def _cell_degrees(self, x: float) -> tuple[int, list[float]]:
-        """(index of the cell holding x, ``degrees(x)``): the point cell 2k
-        if x is cut k, else the open cell 2k + 1 between cuts k and k + 1."""
+        """``(_locate(x), _fill(cell, x))``: x's cell and every term's degree."""
+        cell = self._locate(x)
+        return cell, self._fill(cell, x)
+
+    def _locate(self, x: float) -> int:
+        """The point cell 2k if x is cut k, else the open cell 2k + 1 between
+        cuts k and k + 1; OutOfDomainError if x (NaN too) is off the domain."""
         lo, hi = self.domain
         if not lo <= x <= hi:
             raise OutOfDomainError(f"{self.name} = {x} outside domain [{lo}, {hi}]")
-        cuts, cells = self._cells
+        cuts = self._cells[0]
         i = bisect_left(cuts, x)
-        cell = 2 * i if cuts[i] == x else 2 * i - 1
-        row, ramps = cells[cell]
+        return 2 * i if cuts[i] == x else 2 * i - 1
+
+    def _fill(self, cell: int, x: float) -> list[float]:
+        """Every term's degree at x, in ``cell``: a copy of the cell's
+        constants with its ramps evaluated at x."""
+        row, ramps = self._cells[1][cell]
         degrees = row.copy()
         for j, p, q in ramps:
             degrees[j] = (x - p) / q
-        return cell, degrees
+        return degrees
 
     @cached_property
     def _cells(self) -> tuple[list[float], list[tuple[list[float], list]]]:
@@ -245,11 +247,11 @@ class SugenoFis:
     _compiled: tuple[tuple[tuple[tuple[int, int], ...], float], ...] = field(
         init=False, repr=False, compare=False
     )
-    # Memo from a tuple of cells, one per input, to its candidate compiled
-    # rules in rule order; at most one entry per cell product.  Threads fill
-    # it without a lock: an entry is a pure function of its key, so a race at
-    # worst computes one twice.
-    _candidates: dict[tuple[int, ...], tuple] = field(
+    # Memo from a tuple of cells, one per input, to its ``_record``; at most
+    # one entry per cell product.  Threads fill it without a lock: an entry is
+    # a finished tuple, a pure function of its key, so a race at worst
+    # computes one twice.
+    _records: dict[tuple[int, ...], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -309,23 +311,51 @@ class SugenoFis:
         if not self.rules:
             raise FisConfigError("cannot infer with an empty rule base")
 
-    def _fire(
-        self, cells: tuple[int, ...], degrees: Sequence[Sequence[float]]
-    ) -> tuple[float, int]:
-        """The inference kernel, the only code that fires a rule: fire the
-        cells' candidate rules on fuzzified inputs and return ``(raw,
-        fired_rule_count)``.  It checks nothing; callers check the domain,
-        in ``_cell_degrees``, and the rule base first.
+    def _record(self, cells: tuple[int, ...]) -> tuple[tuple, tuple[float, int] | None]:
+        """The memo's ``(candidates, decided)`` for the cells ``_locate`` gave,
+        one per input, built on first use.  The candidates are the compiled
+        rules, in rule order, whose every clause names a term active in its
+        input's cell (a rule without a clause on an input passes on it):
+        exactly the rules that can fire there.  ``decided`` is the kernel's
+        result at each term's floor, its lesser degree at the cell's two
+        floats next to a cut, or None.  It is kept only if every candidate
+        fires at the floors, and so everywhere in the cells, as ramps,
+        rounding and the AND are monotone; and if the candidates share one
+        consequent (by ``repr``, so 0.0 and -0.0 stay apart), which the clamp
+        then returns, or no candidate reads a ramp."""
+        record = self._records.get(cells)
+        if record is None:
+            pieces = [var._cells[1][cell] for var, cell in zip(self.inputs, cells)]
+            ramped = [{j for j, _, _ in ramps} for _, ramps in pieces]
+            active = [ramped[i].union(j for j, d in enumerate(row) if d > 0.0)
+                      for i, (row, _) in enumerate(pieces)]
+            candidates = tuple(
+                rule for rule in self._compiled if all(j in active[i] for i, j in rule[0])
+            )
+            floors = []
+            for var, cell in zip(self.inputs, cells):
+                ends = var._cells[0][cell // 2], var._cells[0][(cell + 1) // 2]
+                floors.append(list(map(min, var._fill(cell, math.nextafter(*ends)),
+                                       var._fill(cell, math.nextafter(*ends[::-1])))))
+            decided = self._fire(candidates, floors)
+            if decided[1] < len(candidates) or (
+                len({repr(consequent) for _, consequent in candidates}) > 1
+                and any(j in ramped[i] for clauses, _ in candidates for i, j in clauses)
+            ):
+                decided = None
+            record = self._records[cells] = (candidates, decided)
+        return record
 
-        ``cells[i]`` and ``degrees[i]`` are what ``_cell_degrees`` gives for
-        input i.  The candidates of a cell tuple, built on its first call and
-        published as a finished tuple, are the compiled rules, in rule order,
-        whose every clause names a term active in its input's cell (a rule
-        without a clause on an input passes on it): exactly the rules that
-        can fire there.  A skipped rule has strength 0 and leaves both sums
-        and the clamp range, and so the result, bit for bit unchanged.  A
-        candidate is still tested for ``w > 0.0``: a ramp's degree can
-        underflow to 0.0 just inside its open cell.
+    def _fire(self, candidates: tuple, degrees: Sequence[Sequence[float]]) -> tuple[float, int]:
+        """The inference kernel, the only code that fires a rule: fire a cell
+        tuple's ``candidates`` on its ``_fill`` degrees, ``degrees[i]`` for
+        input i, and return ``(raw, fired_rule_count)``.  It checks nothing;
+        callers check the domain, in ``_locate``, and the rule base first,
+        and ``_record`` decides a tuple with it.  A rule that is not a
+        candidate has strength 0 and would leave both sums and the clamp
+        range, and so the result, bit for bit unchanged.  A candidate is
+        still tested for ``w > 0.0``: a ramp's degree can underflow to 0.0
+        just inside its open cell.
         The AND operator is resolved once per call; each rule conjoins its
         clauses in order, from 1.0.  The clamp into [min, max] of the fired
         consequents also makes a lone fired rule return its consequent
@@ -333,15 +363,6 @@ class SugenoFis:
         and all comparisons, the clamp's too, are strict: they keep the first
         of equal values, as ``min`` and ``max`` do, so 0.0 and -0.0 stay apart.
         """
-        candidates = self._candidates.get(cells)
-        if candidates is None:
-            active = [
-                {j for j, d in enumerate(row) if d > 0.0}.union(j for j, _, _ in ramps)
-                for row, ramps in (var._cells[1][cell] for var, cell in zip(self.inputs, cells))
-            ]
-            candidates = self._candidates[cells] = tuple(
-                rule for rule in self._compiled if all(j in active[i] for i, j in rule[0])
-            )
         use_min = self.and_operator == "min"
         weights: list[float] = []
         contributions: list[float] = []
@@ -378,9 +399,10 @@ def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:
 
     raw = sum(w_i * c_i) / sum(w_i) over the rules with positive firing
     strength.  When no rule fires the result is raw = 0 with a zero rule
-    count, the anomaly encoding.  Inputs are fuzzified in declaration order,
+    count, the anomaly encoding.  Inputs are located in declaration order,
     and the first one without a value, or outside its domain, raises
-    OutOfDomainError; then an empty rule base raises FisConfigError.
+    OutOfDomainError; then an empty rule base raises FisConfigError.  Only
+    a cell tuple that its record does not decide is fuzzified and fired.
 
     The result is independent of rule order, and of the zero-strength rules
     the kernel skips: the sums are accumulated with math.fsum, which returns
@@ -389,12 +411,13 @@ def infer(fis: SugenoFis, values: Mapping[str, float]) -> InferenceResult:
     keep float rounding from leaking outside it, so a lone fired rule gives
     its consequent exactly.
     """
-    cells, degrees = [], []
+    cells = []
     for var in fis.inputs:
         if var.name not in values:
             raise OutOfDomainError(f"no value supplied for variable {var.name!r}")
-        cell, var_degrees = var._cell_degrees(values[var.name])
-        cells.append(cell)
-        degrees.append(var_degrees)
+        cells.append(var._locate(values[var.name]))
     fis.check_rules()
-    return InferenceResult(*fis._fire(tuple(cells), degrees))
+    candidates, decided = fis._record(tuple(cells))
+    return InferenceResult(*(decided or fis._fire(candidates, [
+        var._fill(cell, values[var.name]) for var, cell in zip(fis.inputs, cells)
+    ])))

@@ -327,10 +327,11 @@ def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
     Each speed and each flow is fuzzified once, domain check and cell lookup
     included.  A run is a stretch of consecutive grid values with equal
     ``_cell_degrees``, cell and degrees; the grids ascend, so equal keys are
-    adjacent.  The kernel ``infer`` uses, a pure function of its inputs,
-    runs once per pair of flow run and speed run, and its raw value is
-    formatted once per pair; degrees are never NaN or -0.0, so equal keys
-    are identical inputs and each value is bit-identical to ``infer``.
+    adjacent.  Per pair of flow run and speed run, the cell tuple's record
+    gives the decided result, or the kernel ``infer`` uses, a pure function
+    of its inputs, runs once, and the raw value is formatted once; degrees
+    are never NaN or -0.0, so equal keys are identical inputs and each
+    value is bit-identical to ``infer``.
     """
     if not all(type(steps) is int and steps >= 2 for steps in (flow_steps, speed_steps)):
         raise ValueError("surface export needs at least 2 steps per axis")
@@ -341,13 +342,14 @@ def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
         (key, [f",{speed!r}," for speed in run])
         for key, run in groupby(speeds, speed_var._cell_degrees)
     ]
-    fire = fis._fire
+    record, fire = fis._record, fis._fire
     flows = (grid_value(*flow_var.domain, flow_steps, i) for i in range(flow_steps))
     lines = ["flow_vph,speed_kmh,raw_los"]
     for (flow_cell, flow_degrees), run in groupby(flows, flow_var._cell_degrees):
         tails = []
         for (speed_cell, degrees), speed_texts in speed_runs:
-            raw_text = repr(fire((flow_cell, speed_cell), (flow_degrees, degrees))[0])
+            candidates, decided = record((flow_cell, speed_cell))
+            raw_text = repr((decided or fire(candidates, (flow_degrees, degrees)))[0])
             tails += [speed_text + raw_text for speed_text in speed_texts]
         for flow in run:
             flow_text = repr(flow)

@@ -11,9 +11,9 @@ line lexer of ``dsl``.
 
 Classification rounds a two-input system's output to a level.  ``classifier``
 checks the system once and returns the per-point function that ``classify``
-and ``pipeline.evaluate`` share: it fires the engine's one kernel,
-``SugenoFis._fire``, as ``infer`` and ``pipeline.export_surface`` do, and
-returns a plain ``(raw, level, boundary)``, which ``classify`` wraps.
+and ``pipeline.evaluate`` share: it reads the engine's memo and fires its one
+kernel, ``SugenoFis._fire``, as ``infer`` and ``pipeline.export_surface`` do,
+and returns a plain ``(raw, level, boundary)``, which ``classify`` wraps.
 """
 
 from __future__ import annotations
@@ -243,19 +243,22 @@ def classifier(fis: SugenoFis, epsilon: float) -> Callable[[float, float], tuple
 
     Raises ValueError for an epsilon outside [0, 0.5), then FisConfigError
     for a system without exactly two inputs or without rules.  The function
-    fuzzifies the flow, then the speed, and fires the kernel; raw outputs
-    round half up and clamp to [1, 6], and no rule firing is an anomaly.
+    locates the flow, then the speed, and fires the kernel unless the cell
+    tuple's record is decided; raw outputs round half up and clamp to
+    [1, 6], and no rule firing is an anomaly.
     """
     if not 0 <= epsilon < 0.5:
         raise ValueError(f"epsilon must lie in [0, 0.5), got {epsilon}")
     flow_var, speed_var = los_inputs(fis)
     fis.check_rules()
-    fire = fis._fire
+    record, fire = fis._record, fis._fire
 
     def rate(flow: float, speed: float) -> tuple[float, int | None, bool]:
-        flow_cell, flow_degrees = flow_var._cell_degrees(flow)
-        speed_cell, speed_degrees = speed_var._cell_degrees(speed)
-        raw, fired = fire((flow_cell, speed_cell), (flow_degrees, speed_degrees))
+        flow_cell, speed_cell = flow_var._locate(flow), speed_var._locate(speed)
+        candidates, decided = record((flow_cell, speed_cell))
+        raw, fired = decided or fire(
+            candidates, (flow_var._fill(flow_cell, flow), speed_var._fill(speed_cell, speed))
+        )
         if fired == 0:
             return raw, None, False
         return raw, min(max(math.floor(raw + 0.5), 1), 6), abs(raw - round(raw)) > epsilon

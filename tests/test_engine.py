@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -10,6 +11,7 @@ import pytest
 from fuzzylos import (
     FisConfigError,
     FuzzyVariable,
+    InferenceResult,
     Measurement,
     OutOfDomainError,
     Rule,
@@ -151,7 +153,7 @@ def test_a_term_ending_on_a_cut_stays_active_in_the_next_cell():
 
 
 def test_a_ramp_that_underflows_inside_its_cell_does_not_fire():
-    # 5e-324 lies in the open cell (0, 4), where the term is active, but its
+    # 5e-324 lies in the open cell (0, 2), where the term is active, but its
     # degree (5e-324 - 0) / 2 rounds to 0.0: the kernel must skip the rule
     # rather than divide by a zero total strength.
     x = FuzzyVariable("X", "", (0.0, 4.0), (("A", TrapezoidMF(0, 2, 3, 4)),))
@@ -164,6 +166,91 @@ def test_a_ramp_that_underflows_inside_its_cell_does_not_fire():
     result = infer(fis, {"X": 5e-324})
     assert result.raw == 0.0
     assert result.fired_rule_count == 0
+
+
+@pytest.mark.parametrize("and_operator", ["min", "product"])
+def test_a_tuple_whose_ramp_underflows_at_its_floor_is_not_decided(and_operator):
+    # The system of the test above.  At 5e-324, the float of the open cell
+    # (0, 2) next to the ramp's zero end, the lone rule does not fire; at 1.0
+    # it does, so the cell's output depends on the point.
+    x = FuzzyVariable("X", "", (0.0, 4.0), (("A", TrapezoidMF(0, 2, 3, 4)),))
+    fis = SugenoFis(
+        inputs=(x,),
+        output_name="Out",
+        output_domain=(0.0, 6.0),
+        rules=(Rule((("X", "A"),), 1.0),),
+        and_operator=and_operator,
+    )
+    assert x._locate(5e-324) == x._locate(1.0) == 1
+    assert fis._record((1,)) == (fis._compiled, None)
+    assert infer(fis, {"X": 5e-324}) == InferenceResult(0.0, 0)
+    assert infer(fis, {"X": 1.0}) == InferenceResult(1.0, 1)
+
+
+def test_a_product_that_underflows_at_the_floors_is_not_decided():
+    # Each ramp rises from 0.0 over 1e-100, so next to 0.0 each degree is
+    # 5e-324 / 1e-100, about 4.9e-224: the minimum of two fires, their
+    # product underflows to 0.0.
+    def axis(name):
+        return FuzzyVariable(name, "", (0.0, 1.0), (("A", TrapezoidMF(0.0, 1e-100, 0.5, 1.0)),))
+
+    for and_operator, decided in (("min", (1.0, 1)), ("product", None)):
+        fis = SugenoFis(
+            inputs=(axis("X"), axis("Y")),
+            output_name="Out",
+            output_domain=(0.0, 6.0),
+            rules=(Rule((("X", "A"), ("Y", "A")), 1.0),),
+            and_operator=and_operator,
+        )
+        assert fis._record((1, 1))[1] == decided
+        smallest = infer(fis, {"X": 5e-324, "Y": 5e-324})
+        assert smallest == (InferenceResult(1.0, 1) if decided else InferenceResult(0.0, 0))
+        assert infer(fis, {"X": 1e-101, "Y": 1e-101}) == InferenceResult(1.0, 1)
+
+
+def cell_points(var, rng):
+    """Points of each cell of ``var``, in cell order: a point cell's cut, and
+    in an open cell the floats next to both cuts and two uniform draws."""
+    cut = cuts(var)
+    points = []
+    for left, right in zip(cut, cut[1:]):
+        inside = [math.nextafter(left, right), math.nextafter(right, left)]
+        inside += [rng.uniform(left, right) for _ in range(2)]
+        points += [[left], [x for x in inside if left < x < right]]
+    return points + [[cut[-1]]]
+
+
+def test_every_decided_record_is_the_kernel_at_every_point_of_its_cells():
+    rng = random.Random(57)
+    kinds = collections.Counter()
+    for _ in range(8):
+        fis = random_fis(rng, min_inputs=2, max_inputs=2)
+        # few distinct consequents, signed zeros among them, so that many
+        # tuples share one consequent and some hold both zeros
+        rules = tuple(
+            dataclasses.replace(rule, consequent=rng.choice([0.0, -0.0, 1.0, 2.5, rule.consequent]))
+            for rule in fis.rules
+        )
+        for and_operator in ("min", "product"):
+            fis = dataclasses.replace(
+                fis, rules=rules, output_domain=(-10.0, 20.0), and_operator=and_operator
+            )
+            axes = [cell_points(var, rng) for var in fis.inputs]
+            for cells in itertools.product(*(range(len(axis)) for axis in axes)):
+                candidates, decided = fis._record(cells)
+                points = list(itertools.product(*(axis[c] for axis, c in zip(axes, cells))))
+                if decided is None or not points:
+                    kinds["undecided"] += 1
+                    continue
+                kinds["mixed" if len({repr(c) for _, c in candidates}) > 1 else "single"] += 1
+                for point in rng.sample(points, min(4, len(points))):
+                    assert tuple(map(FuzzyVariable._locate, fis.inputs, point)) == cells
+                    degrees = [var._fill(c, x) for var, c, x in zip(fis.inputs, cells, point)]
+                    assert repr(fis._fire(candidates, degrees)) == repr(decided)
+                    values = {var.name: x for var, x in zip(fis.inputs, point)}
+                    assert repr(infer(fis, values)) == repr(InferenceResult(*decided))
+    # every kind of tuple occurs: constants-only tuples with several consequents too
+    assert min(kinds.values()) > 20, kinds
 
 
 def test_infer_out_of_domain_rejected():
@@ -360,8 +447,8 @@ def test_cell_degrees_equal_every_term_degree_on_random_systems():
                 expected = repr([mf.degree(x) for _, mf in var.terms])
                 assert repr(var._cell_degrees(x)[1]) == expected
                 # the cell's row is copied, never handed out
-                var.degrees(x)[:] = [-1.0] * len(var.terms)
-                assert repr(var.degrees(x)) == expected
+                var._cell_degrees(x)[1][:] = [-1.0] * len(var.terms)
+                assert repr(var._cell_degrees(x)[1]) == expected
 
 
 def test_a_zero_degree_at_a_cut_reads_0_0_at_either_signed_zero():
@@ -369,7 +456,7 @@ def test_a_zero_degree_at_a_cut_reads_0_0_at_either_signed_zero():
     # rising from 0.0; the cut's constants hold 0.0 for both zeros
     for lo in (-0.0, -1.0):
         var = FuzzyVariable("X", "", (lo, 1.0), (("A", TrapezoidMF(0.0, 0.5, 0.6, 1.0)),))
-        assert repr(var.degrees(-0.0)) == repr(var.degrees(0.0)) == "[0.0]"
+        assert repr(var._cell_degrees(-0.0)[1]) == repr(var._cell_degrees(0.0)[1]) == "[0.0]"
 
 
 def test_matches_brute_force_on_random_systems():
@@ -390,7 +477,7 @@ def cuts(var):
 
 
 def memo_entry(fis, cells):
-    """The candidate memo entry for a tuple of cells, worked out from the
+    """The candidates of a cell tuple's memo record, worked out from the
     rules, the term supports and the cuts at every breakpoint: the compiled
     rules, in rule order, whose every term is positive in its cell.  Cell 2k
     is cut k, where a term is positive if its degree there is; cell 2k + 1 is
@@ -447,12 +534,17 @@ def test_concurrent_inference_is_consistent(default_fis):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not failures
-    # every entry the threads published is a finished tuple, not a
-    # sequence another thread was still filling
-    assert fresh._candidates
-    for cells, candidates in fresh._candidates.items():
-        assert type(candidates) is tuple
+    # every record the threads published is a finished tuple, not a
+    # sequence another thread was still filling, and equal, bit for bit, to
+    # the record one thread builds on a fresh system
+    single = parse_fis(default_fis_text())
+    assert fresh._records
+    for cells, record in fresh._records.items():
+        candidates, decided = record
+        assert type(record) is type(candidates) is tuple
+        assert decided is None or type(decided) is tuple
         assert candidates == memo_entry(fresh, cells)
+        assert repr(record) == repr(single._record(cells))
 
 
 def test_candidates_are_exactly_the_fired_rules_on_the_shipped_system():
@@ -466,53 +558,69 @@ def test_candidates_are_exactly_the_fired_rules_on_the_shipped_system():
     for point in itertools.product(*axes):
         result = infer(fis, {var.name: x for var, x in zip(fis.inputs, point)})
         cells = tuple(var._cell_degrees(x)[0] for var, x in zip(fis.inputs, point))
-        assert len(fis._candidates[cells]) == result.fired_rule_count
+        assert len(fis._records[cells][0]) == result.fired_rule_count
     # 39 flow cells by 31 speed cells, each visited once
-    assert len(fis._candidates) == math.prod(len(var._cells[1]) for var in fis.inputs) == 1209
+    assert len(fis._records) == math.prod(len(var._cells[1]) for var in fis.inputs) == 1209
 
 
 def test_a_surface_fills_at_most_one_memo_entry_per_cell_tuple():
     fis = parse_fis(default_fis_text())
     export_surface(fis, 200, 200)
-    assert 0 < len(fis._candidates) <= math.prod(len(var._cells[1]) for var in fis.inputs)
+    assert 0 < len(fis._records) <= math.prod(len(var._cells[1]) for var in fis.inputs)
 
 
-def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_fis, default_model):
+def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_model):
+    # a fresh system, so that the memo holds only the records built here
+    fis = parse_fis(default_fis_text())
     calls = []
     fire = SugenoFis._fire
 
-    def counting_fire(self, cells, degrees):
-        calls.append(cells)
-        return fire(self, cells, degrees)
+    def counting_fire(self, candidates, degrees):
+        calls.append(candidates)
+        return fire(self, candidates, degrees)
 
     monkeypatch.setattr(SugenoFis, "_fire", counting_fire)
-    points = [(700.0, 65.0), (2000.0, 60.0), (1000.0, 35.0)]
+    # three points in decided cell tuples and, last, one in a tuple whose
+    # two candidates have different consequents
+    points = [(700.0, 65.0), (2000.0, 60.0), (1000.0, 35.0), (3000.0, 35.0)]
 
     def count(run):
         calls.clear()
         run()
         return len(calls)
 
+    def cells(flow, speed):
+        return tuple(var._locate(x) for var, x in zip(fis.inputs, (flow, speed)))
+
+    # building a record runs the kernel once, to decide the tuple
+    assert count(lambda: [fis._record(cells(*point)) for point in points]) == 4
+    assert [fis._records[cells(*point)][1] is None for point in points] == [False] * 3 + [True]
+    # then only the undecided point is fuzzified and fired, by every caller
     assert count(lambda: [
-        infer(default_fis, {"TrafficFlow": flow, "Speed": speed}) for flow, speed in points
-    ]) == 3
-    assert count(lambda: [classify(default_fis, flow, speed) for flow, speed in points]) == 3
+        infer(fis, {"TrafficFlow": flow, "Speed": speed}) for flow, speed in points
+    ]) == 1
+    assert count(lambda: [classify(fis, flow, speed) for flow, speed in points]) == 1
     # the last two points are outside the system's and the model's domain
     data = [
         Measurement("t", speed, flow)
         for flow, speed in points + [(7000.0, 50.0), (700.0, -1.0)]
     ]
-    assert count(lambda: evaluate(default_fis, default_model, data)) == 3
-    # A grid this coarse repeats no (cell, degrees), so every cell fires.
-    assert count(lambda: export_surface(default_fis, 7, 5)) == 35
+    assert count(lambda: evaluate(fis, default_model, data)) == 1
+    # A grid this coarse repeats no (cell, degrees): the first export builds
+    # the records it lacks and fires the 6 undecided cells of the 35, the
+    # second fires those 6 alone.
+    built = len(fis._records)
+    assert count(lambda: export_surface(fis, 7, 5)) == len(fis._records) - built + 6
+    assert count(lambda: export_surface(fis, 7, 5)) == 6
 
-    # A dense grid fires once per pair of runs: consecutive grid values whose
-    # cell and degrees are equal share one kernel call.
+    # A dense grid fires at most once per pair of runs: consecutive grid
+    # values whose cell and degrees are equal share one kernel call.
     def runs(var):
         return len(list(itertools.groupby(
             var._cell_degrees(grid_value(*var.domain, 100, i)) for i in range(100)
         )))
 
-    flow_runs, speed_runs = map(runs, default_fis.inputs)
+    flow_runs, speed_runs = map(runs, fis.inputs)
     assert (flow_runs, speed_runs) == (46, 61)
-    assert count(lambda: export_surface(default_fis, 100, 100)) == flow_runs * speed_runs < 10_000
+    export_surface(fis, 100, 100)
+    assert count(lambda: export_surface(fis, 100, 100)) == 1146 < flow_runs * speed_runs

@@ -39,8 +39,9 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_only_the_engine_uses_its_private_names():
-    """Every module but ``engine`` reaches the kernel through the one name
-    ``SugenoFis._fire``, so no module imports a private engine name."""
+    """Every module but ``engine`` reaches the memo and the kernel through
+    ``SugenoFis._record`` and ``SugenoFis._fire``, and the cells through
+    ``FuzzyVariable``'s methods, so no module imports a private engine name."""
     private = []
     for path in sorted((ROOT / "src" / "fuzzylos").glob("*.py")):
         if path.name == "engine.py":
