@@ -4,11 +4,13 @@ The other tests compare outputs with an independent evaluator within 1e-12,
 or one code path with another of the same package.  These pin the bits
 themselves: the shipped system's surface at several grids under both AND
 operators, the surfaces of seeded random two-input systems, the C1
-evaluation report, a labelled CSV and the serialized generated rule base.
+evaluation report, a labelled CSV, the rows and errors ``ingest`` reads from
+a messy CSV and the serialized generated rule base.
 A change that moves a digest on purpose updates it here and says which
 outputs changed and why.
 """
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -47,6 +49,41 @@ RANDOM_SURFACES = {
 C1_REPORT = "986f302f10456ef2a37c2644dccc2216bb8c1da8453fa86d83da1886c7ea92c2"
 LABELED_CSV = "4a20138f32b1c96a62e27b2962cf0a7ef38fbf8a33adaeb363e5eaadf6a158e6"
 GENERATED_RULES = "8119949d7410cb0ca4d44bb8297edbf7cd91f1cc17be457881b2fce79b2013d3"
+INGEST = {
+    "unlabelled": "dfe366b905682cf3901c0396fcd71d197cf9052359c1241c91fec06f9f5f9ca7",
+    "labelled": "b8069a28a675a7052dd022e60bd75f705851a50f7f6eb56563bbaf1dff7eb36c",
+}
+
+# Every kind of row ingest accepts or rejects.  No NUL bytes: Python 3.10's
+# csv refuses them and 3.11 onwards reads them.
+PAD = "\x1c\x1d\x1e\x1f\u3000"
+MESSY_ROWS = [
+    "t0,62.5,1200",
+    "t1,fast,1200",
+    "t2,62,",
+    "t3,nan,1200",
+    "t4,62,NaN",
+    "t5,1e400,1200",
+    "t6,62,-inf",
+    "t7,-5,1200",
+    "t8,62,-0.5",
+    "t9,-0,1_000",
+    "t10,+7.5e1,1E3",
+    "t11,1__0,100",
+    f"{PAD}t12{PAD},{PAD}40{PAD},{PAD}900{PAD}",
+    f"t13,\u300040,\u2028900\x85",
+    "t14,62",
+    "t15,62,1200,1,2",
+    "",
+    "   ",
+    "\t",
+    '"t\n16",30,5000',
+    '"t17\r\n",30.25,"5\n000"',
+    "t18," + "9" * (csv.field_size_limit() + 1) + ",1",
+    '"t19, quoted",0,0',
+    "t20,62.5,1200",
+]
+LOS_TEXTS = ["3", " 3 ", "-", "", "0", "7", "3.0"]
 
 
 def digest(text: str) -> str:
@@ -92,6 +129,24 @@ def test_labeled_csv(default_model):
     rows += ['"a,b",50,1200', '"c\rd",12.5,4000']
     text = "timestamp,speed_kmh,flow_vph\n" + "\n".join(rows) + "\n"
     assert digest(fz.label_csv(default_model, text)) == LABELED_CSV
+
+
+def ingest_text(labelled: bool) -> str:
+    if not labelled:
+        return "timestamp,speed_kmh,flow_vph\r\n" + "\r\n".join(MESSY_ROWS) + "\r\n"
+    rows = [
+        f"{row},{LOS_TEXTS[i % len(LOS_TEXTS)]}" if row.strip() else row
+        for i, row in enumerate(MESSY_ROWS)
+    ]
+    rows += [f"l{i},62.5,1200,{los}" for i, los in enumerate(LOS_TEXTS)]
+    return "timestamp,speed_kmh,flow_vph,los\r\n" + "\r\n".join(rows) + "\r\n"
+
+
+@pytest.mark.parametrize("variant", ["unlabelled", "labelled"])
+def test_ingest(variant):
+    rows, errors = fz.ingest(ingest_text(variant == "labelled"))
+    text = "".join(repr((m.timestamp, m.speed, m.flow, m.los)) + "\n" for m in rows)
+    assert digest(text + repr(errors)) == INGEST[variant]
 
 
 def test_generated_rules(default_fis, default_model):
