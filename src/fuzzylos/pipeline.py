@@ -15,8 +15,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from itertools import groupby
-from typing import Iterable, Iterator
+from itertools import accumulate, groupby
+from typing import Iterable, Iterator, NamedTuple
 
 from .engine import OutOfDomainError, SugenoFis, grid_value
 from .regions import LosRegionModel, classifier, los_inputs, oracle_label
@@ -29,8 +29,7 @@ class IngestError(ValueError):
     """The input CSV cannot be accepted (a bad header, or any bad row in ``label_csv``)."""
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(NamedTuple):
     """One traffic observation; the timestamp is carried through opaquely."""
 
     timestamp: str
@@ -39,32 +38,35 @@ class Measurement:
     los: int | None = None
 
 
-def _parse_quantity(text: str, column: str, line: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"line {line}: {column} {text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ValueError(f"line {line}: {column} must be finite, got {text!r}")
-    if value < 0:
-        raise ValueError(f"line {line}: {column} must be non-negative, got {text!r}")
-    return value
+def _rejection(record: list[str], line: int) -> ValueError:
+    """The error for a record whose speed or flow ``_read_rows`` refuses,
+    naming the speed if both are refused."""
+    for column, text in (("speed_kmh", record[1].strip()), ("flow_vph", record[2].strip())):
+        try:
+            value = float(text)
+        except ValueError:
+            return ValueError(f"line {line}: {column} {text!r} is not a number")
+        if not math.isfinite(value):
+            return ValueError(f"line {line}: {column} must be finite, got {text!r}")
+        if value < 0:
+            return ValueError(f"line {line}: {column} must be non-negative, got {text!r}")
+    raise AssertionError(f"line {line}: speed and flow are both acceptable")
 
 
-_Quantities = tuple[float, float, int | None]
+_Row = tuple[str, float, float, int | None]
+_LOS = {"-": None, "": None, **{str(level): level for level in range(1, 7)}}
 
 
-def _read_rows(
-    text: str, labels: bool
-) -> Iterator[tuple[int, list[str], _Quantities | ValueError]]:
+def _read_rows(text: str, labels: bool) -> Iterator[tuple[int, list[str], _Row | ValueError]]:
     """Read measurement CSV through one ``csv.reader``, record by record.
 
     A missing or wrong header raises IngestError; ``labels`` admits the
     trailing ``los`` column.  Then, for each record that is not a blank or
     whitespace-only line, yields the record's first physical line (a quoted
     field may span several), its fields and either their validated
-    (speed, flow, los) or the ValueError that rejects them, whose message
-    names that line.
+    (timestamp, speed, flow, los) or the ValueError that rejects them, whose
+    message names that line.  A quantity is accepted exactly when ``float``
+    reads its stripped text as a finite number that is not negative.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -79,35 +81,37 @@ def _read_rows(
             f"bad CSV header {','.join(header)!r}; expected {','.join(CSV_HEADER)!r}"
             + (" (optionally with a trailing 'los' column)" if labels else "")
         )
+    width, inf = len(header), math.inf
+    line = 2
     while True:
-        line = reader.line_num + 1
         try:
-            record = next(reader)
-        except StopIteration:
+            for record in reader:
+                if len(record) != width:
+                    if len(record) < 2 and not "".join(record).strip():
+                        line = reader.line_num + 1
+                        continue  # a blank or whitespace-only line
+                    row = ValueError(f"line {line}: expected {width} fields, got {len(record)}")
+                else:
+                    try:
+                        speed = float(record[1].strip())
+                        flow = float(record[2].strip())
+                        accepted = 0.0 <= speed < inf and 0.0 <= flow < inf
+                    except ValueError:
+                        accepted = False
+                    if not accepted:
+                        row = _rejection(record, line)
+                    elif not labeled:
+                        row = (record[0].strip(), speed, flow, None)
+                    elif (los_text := record[3].strip()) in _LOS:
+                        row = (record[0].strip(), speed, flow, _LOS[los_text])
+                    else:
+                        row = ValueError(f"line {line}: los must be 1..6 or '-', got {los_text!r}")
+                yield line, record, row
+                line = reader.line_num + 1
             return
         except csv.Error as exc:
             yield line, [], ValueError(f"line {line}: unparseable CSV ({exc})")
-            continue
-        if len(record) < 2 and not "".join(record).strip():
-            continue  # a blank or whitespace-only line
-        try:
-            if len(record) != len(header):
-                raise ValueError(
-                    f"line {line}: expected {len(header)} fields, got {len(record)}"
-                )
-            speed = _parse_quantity(record[1].strip(), "speed_kmh", line)
-            flow = _parse_quantity(record[2].strip(), "flow_vph", line)
-            los: int | None = None
-            if labeled:
-                los_text = record[3].strip()
-                if los_text in {"1", "2", "3", "4", "5", "6"}:
-                    los = int(los_text)
-                elif los_text not in {"-", ""}:
-                    raise ValueError(f"line {line}: los must be 1..6 or '-', got {los_text!r}")
-            row: _Quantities | ValueError = (speed, flow, los)
-        except ValueError as exc:
-            row = exc
-        yield line, record, row
+            line = reader.line_num + 1
 
 
 def ingest(text: str) -> tuple[list[Measurement], list[str]]:
@@ -121,9 +125,10 @@ def ingest(text: str) -> tuple[list[Measurement], list[str]]:
     """
     rows: list[Measurement] = []
     errors: list[str] = []
-    for _, record, row in _read_rows(text, labels=True):
-        if isinstance(row, tuple):
-            rows.append(Measurement(record[0].strip(), *row))
+    make = Measurement._make
+    for _, _, row in _read_rows(text, labels=True):
+        if type(row) is tuple:
+            rows.append(make(row))
         else:
             errors.append(str(row))
     return rows, errors
@@ -142,16 +147,15 @@ def generate_synthetic(model: LosRegionModel, n: int, seed: int) -> list[Measure
         raise ValueError(f"need a positive sample count, got {n!r}")
     rng = random.Random(seed)
     rects = [rect for _, rect in model.regions]
-    areas = [
-        (rect.flow_hi - rect.flow_lo) * (rect.speed_hi - rect.speed_lo) for rect in rects
-    ]
+    areas = ((rect.flow_hi - rect.flow_lo) * (rect.speed_hi - rect.speed_lo) for rect in rects)
+    cum_areas = list(accumulate(areas))
     flow_env = model.flow_domain
     speed_env = model.speed_domain
 
     points: list[tuple[float, float]] = []
     chosen: list[int] = []
     for _ in range(n):
-        index = rng.choices(range(len(rects)), weights=areas)[0]
+        index = rng.choices(range(len(rects)), cum_weights=cum_areas)[0]
         rect = rects[index]
         points.append(
             (rng.uniform(rect.flow_lo, rect.flow_hi), rng.uniform(rect.speed_lo, rect.speed_hi))
@@ -373,13 +377,14 @@ def label_csv(model: LosRegionModel, text: str) -> str:
     has_cr = "\r" in text
     writer.writerow(LABELED_CSV_HEADER)
     for line, record, row in _read_rows(text, labels=False):
-        if not isinstance(row, tuple):
+        if type(row) is not tuple:
             raise IngestError(str(row))
-        speed, flow, _ = row
+        _, speed, flow, _ = row
         try:
             level = oracle_label(model, flow, speed)
         except OutOfDomainError as exc:
             raise IngestError(f"line {line}: {exc}") from None
         quoted = has_cr and any("\r" in field for field in record)
-        (quoting_writer if quoted else writer).writerow(record + ["-" if level is None else level])
+        record.append("-" if level is None else level)
+        (quoting_writer if quoted else writer).writerow(record)
     return out.getvalue()

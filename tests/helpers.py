@@ -1,9 +1,11 @@
 """Shared test machinery: random system generation, an independent
-brute-force Sugeno evaluator used as the oracle for the engine, and a
-sample-by-sample rule generator used as the oracle for ``generate_rules``."""
+brute-force Sugeno evaluator used as the oracle for the engine, a
+sample-by-sample rule generator used as the oracle for ``generate_rules``,
+and the reference wording of ``ingest``'s quantity errors."""
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -150,3 +152,20 @@ def sampled_rules(
                 )
             )
     return tuple(rules)
+
+
+def quantity_refusal(column: str, text: str) -> str | None:
+    """Why ``ingest`` refuses a speed or flow field, after its ``line N: ``
+    prefix, or None if it accepts the field: exactly when ``float`` reads
+    the stripped text as a number that is neither NaN, nor infinite, nor
+    below zero."""
+    stripped = text.strip()
+    try:
+        value = float(stripped)
+    except ValueError:
+        return f"{column} {stripped!r} is not a number"
+    if math.isnan(value) or math.isinf(value):
+        return f"{column} must be finite, got {stripped!r}"
+    if value < 0.0:
+        return f"{column} must be non-negative, got {stripped!r}"
+    return None

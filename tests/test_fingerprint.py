@@ -71,7 +71,7 @@ MESSY_ROWS = [
     "t10,+7.5e1,1E3",
     "t11,1__0,100",
     f"{PAD}t12{PAD},{PAD}40{PAD},{PAD}900{PAD}",
-    f"t13,\u300040,\u2028900\x85",
+    "t13,\u300040,\u2028900\x85",
     "t14,62",
     "t15,62,1200,1,2",
     "",

@@ -11,12 +11,14 @@ bit-identical to pointwise inference, and ``classify`` must round, clamp and
 flag boundaries and anomalies by its rule; ``export_surface`` must write
 exactly those cells, line by line, text for text.
 ``ingest`` must read back exactly what ``csv.writer`` wrote, and what
-``label_csv`` wrote from it.  ``oracle_label`` must follow the containment
-rule on, and 1 ulp to either side of, every rectangle edge and envelope
-corner of a random region model.  ``generate_rules``, which counts core
-samples per axis, must give the rules or the conflict that asking the region
-oracle at every sample gives.  ``build_fis`` must turn any parseable ``.fis``
-text into a system or into positioned errors, and nothing else.
+``label_csv`` wrote from it, and accept a speed or flow field exactly when
+``float`` reads its stripped text as a finite number not below zero.
+``oracle_label`` must follow the containment rule on, and 1 ulp to either
+side of, every rectangle edge and envelope corner of a random region model.
+``generate_rules``, which counts core samples per axis, must give the rules
+or the conflict that asking the region oracle at every sample gives.
+``build_fis`` must turn any parseable ``.fis`` text into a system or into
+positioned errors, and nothing else.
 """
 
 import csv
@@ -33,7 +35,7 @@ from hypothesis import strategies as st
 
 import fuzzylos as fz
 from fuzzylos.engine import grid_value
-from helpers import brute_force_raw, random_fis, sampled_rules
+from helpers import brute_force_raw, quantity_refusal, random_fis, sampled_rules
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -335,10 +337,50 @@ def test_ingest_reads_back_what_csv_writer_wrote(labeled, rows):
     assert fz.ingest(out.getvalue()) == (expected, [])
     if not labeled:
         relabeled = [
-            dataclasses.replace(m, los=fz.oracle_label(ANY_QUANTITY_MODEL, m.flow, m.speed))
+            m._replace(los=fz.oracle_label(ANY_QUANTITY_MODEL, m.flow, m.speed))
             for m in expected
         ]
         assert fz.ingest(fz.label_csv(ANY_QUANTITY_MODEL, out.getvalue())) == (relabeled, [])
+
+
+SPACES = [chr(code) for code in range(0x110000) if chr(code).isspace()]
+paddings = st.text(st.sampled_from(SPACES), max_size=2)
+numerals = st.one_of(
+    st.sampled_from(
+        ["0", "-0", "+0", "7", "62.5", "-5", "1_000", ".5", "5.", "1e3", "1E-2", "-1e-400",
+         "1e400", "-1e400", "nan", "-NaN", "inf", "+Infinity", "-inf", "\u0664\u0662", "",
+         "1__0", "_1", "1_", "0x1", "fast", "1,5", "--1", "infinit", "e3", "1e"]
+    ),
+    st.floats().map(repr),
+    st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["", "+", "-", "+-"]),
+            st.sampled_from(["0", "12.5", "1_0", "1__0", "nan", "inf", ""]),
+            st.sampled_from(["", "", "e3", "E-2", "e+400", "e-400", "e", "_0"]),
+        ),
+    ),
+)
+quantity_texts = st.builds("".join, st.tuples(paddings, numerals, paddings))
+
+
+@PROPERTY_SETTINGS
+@given(speed=quantity_texts, flow=quantity_texts)
+def test_ingest_accepts_a_quantity_exactly_when_float_reads_it_finite_and_not_negative(
+    speed, flow
+):
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(fz.pipeline.CSV_HEADER)
+    writer.writerow(["t", speed, flow])
+    rows, errors = fz.ingest(out.getvalue())
+    refusal = quantity_refusal("speed_kmh", speed) or quantity_refusal("flow_vph", flow)
+    if refusal is None:
+        assert errors == []
+        expected = (float(speed.strip()), float(flow.strip()))
+        assert [bits(x) for x in rows[0][1:3]] == [bits(x) for x in expected]
+    else:
+        assert (rows, errors) == ([], [f"line 2: {refusal}"])
 
 
 FIS_FAULTS = ("counts", "names", "input", "output", "terms", "breakpoints", "rules", "consequents")
