@@ -86,18 +86,14 @@ def _read_rows(text: str, labels: bool) -> Iterator[tuple[int, list[str], _Row |
     while True:
         try:
             for record in reader:
-                if len(record) != width:
-                    if len(record) < 2 and not "".join(record).strip():
-                        line = reader.line_num + 1
-                        continue  # a blank or whitespace-only line
-                    row = ValueError(f"line {line}: expected {width} fields, got {len(record)}")
-                else:
+                if len(record) == width:
                     try:
                         speed = float(record[1].strip())
                         flow = float(record[2].strip())
                         accepted = 0.0 <= speed < inf and 0.0 <= flow < inf
                     except ValueError:
                         accepted = False
+                    row: _Row | ValueError
                     if not accepted:
                         row = _rejection(record, line)
                     elif not labeled:
@@ -106,7 +102,10 @@ def _read_rows(text: str, labels: bool) -> Iterator[tuple[int, list[str], _Row |
                         row = (record[0].strip(), speed, flow, _LOS[los_text])
                     else:
                         row = ValueError(f"line {line}: los must be 1..6 or '-', got {los_text!r}")
-                yield line, record, row
+                    yield line, record, row
+                elif len(record) > 1 or "".join(record).strip():  # blank lines yield nothing
+                    message = f"line {line}: expected {width} fields, got {len(record)}"
+                    yield line, record, ValueError(message)
                 line = reader.line_num + 1
             return
         except csv.Error as exc:
