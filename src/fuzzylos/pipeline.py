@@ -82,7 +82,7 @@ def _read_rows(text: str, labels: bool) -> Iterator[tuple[int, list[str], _Row |
             + (" (optionally with a trailing 'los' column)" if labels else "")
         )
     width, inf = len(header), math.inf
-    line = 2
+    line = reader.line_num + 1
     while True:
         try:
             for record in reader:

@@ -79,6 +79,10 @@ class TestIngest:
         assert rows == [Measurement("a\nb", 10.0, 20.0)]
         assert errors == ["line 4: speed_kmh must be non-negative, got '-5'"]
 
+    def test_line_numbers_count_a_header_spanning_two_lines(self):
+        text = '"timestamp\n",speed_kmh,flow_vph\nt0,-5,800\n'
+        assert ingest(text) == ([], ["line 3: speed_kmh must be non-negative, got '-5'"])
+
     def test_labeled_column(self):
         text = "timestamp,speed_kmh,flow_vph,los\nt0,62.0,1200,1\nt1,30,5500,-\n"
         rows, errors = ingest(text)
