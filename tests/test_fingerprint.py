@@ -5,7 +5,8 @@ or one code path with another of the same package.  These pin the bits
 themselves: the shipped system's surface at several grids under both AND
 operators, the surfaces of seeded random two-input systems, the C1
 evaluation report, a labelled CSV, the rows and errors ``ingest`` reads from
-a messy CSV and the serialized generated rule base.
+a messy CSV, the serialized generated rule base, and what the ``.fis`` and
+``.los`` readers say about seeded one-token mutants of the shipped files.
 A change that moves a digest on purpose updates it here and says which
 outputs changed and why.
 """
@@ -15,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -85,6 +87,23 @@ MESSY_ROWS = [
 ]
 LOS_TEXTS = ["3", " 3 ", "-", "", "0", "7", "3.0"]
 
+READER_MUTANTS = 1500  # per shipped file, drawn from random.Random(READER_SEED)
+READER_SEED = 23
+READER_ERRORS = {
+    "fis": "a2ff36aa25d782a79ec36c8c73320d64b19687e891496eed1e2c8c85d50b3a19",
+    "los": "43bc06d8a21ab2c8a0a07e025d5b96812ac95b2de470748409198c077e53e2dc",
+}
+# What a mutant puts in place of a token, or next to one, besides the file's
+# own tokens: numbers the grammar refuses or reads apart, lone punctuation, a
+# comment, an overflowing number and Arabic-Indic digits.  ASCII and
+# U+0660-U+0669 only, so that repr is the same on every Python.
+SUBSTITUTES = [
+    "1e4", "+5", "1_000", "-", "[", "]", "=", "\u0661\u0660", "\u0663", "1.5", "-0",
+    "inf", "9" * 400, "#", "0.", ".5", "1.2.3", "x", "_", "a/b", "3", "7", "0",
+]
+# the readers' tokens, as the grammar in dsl's docstring defines them
+TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*|-?[0-9]+(?:\.[0-9]+)?|\S")
+
 
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -154,3 +173,38 @@ def test_generated_rules(default_fis, default_model):
     rules = fz.generate_rules(default_model, flow_var, speed_var)
     text = fz.serialize(dataclasses.replace(default_fis, rules=rules))
     assert digest(text) == GENERATED_RULES
+
+
+def token_mutants(text: str, rng: random.Random, count: int):
+    """``count`` copies of ``text``, each with one token outside the
+    comments dropped, duplicated, preceded by another or replaced."""
+    lines = text.splitlines()
+    spots = [
+        (i, m.start(), m.end())
+        for i, line in enumerate(lines)
+        for m in TOKEN.finditer(line.split("#", 1)[0])
+    ]
+    words = SUBSTITUTES + sorted({lines[i][start:end] for i, start, end in spots})
+    for _ in range(count):
+        i, start, end = rng.choice(spots)
+        token, other = lines[i][start:end], rng.choice(words)
+        new = ["", f"{token} {token}", f"{other} {token}", other][rng.randrange(4)]
+        mutant = lines[:i] + [lines[i][:start] + new + lines[i][end:]] + lines[i + 1:]
+        yield "\n".join(mutant) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["fis", "los"])
+def test_reader_errors(kind):
+    text, read = {
+        "fis": (fz.default_fis_text(), lambda source: fz.build_fis(fz.parse(source))),
+        "los": (fz.default_regions_text(), fz.parse_regions),
+    }[kind]
+    outcomes = []
+    for mutant in token_mutants(text, random.Random(READER_SEED), READER_MUTANTS):
+        try:
+            read(mutant)
+        except ValueError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+        else:
+            outcomes.append("ok")
+    assert digest("\n".join(outcomes)) == READER_ERRORS[kind]
