@@ -7,12 +7,13 @@ calibration for Legerova Street (Prague, 3 lanes) ships as package data and
 is the single source of truth for the default membership functions and rules.
 """
 
-from importlib import resources
+import os
 
 from .dsl import (
     FisDocument,
     FisValidationError,
     ParseError,
+    _read_text,
     build_fis,
     load_fis,
     parse,
@@ -59,11 +60,11 @@ DEFAULT_REGIONS_NAME = "legerova.los"
 
 
 def default_fis_text() -> str:
-    return resources.files(__name__).joinpath("data", DEFAULT_FIS_NAME).read_text("utf-8")
+    return _read_text(os.path.join(os.path.dirname(__file__), "data", DEFAULT_FIS_NAME))
 
 
 def default_regions_text() -> str:
-    return resources.files(__name__).joinpath("data", DEFAULT_REGIONS_NAME).read_text("utf-8")
+    return _read_text(os.path.join(os.path.dirname(__file__), "data", DEFAULT_REGIONS_NAME))
 
 
 def default_fis() -> SugenoFis:

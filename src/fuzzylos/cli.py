@@ -12,10 +12,9 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from . import default_fis, default_fis_text, default_regions
-from .dsl import build_fis, load_fis, parse, serialize
+from .dsl import _read_text, build_fis, load_fis, parse, serialize
 from .engine import SugenoFis
 from .pipeline import evaluate, export_surface, generate_synthetic, ingest, label_csv
 from .regions import LosRegionModel, classify, load_regions, los_inputs
@@ -23,12 +22,6 @@ from .rulegen import generate_rules
 
 # Every fuzzylos error subclasses ValueError.
 USER_ERRORS = (ValueError, OSError)
-
-
-def _read_text(path: str) -> str:
-    # newline="" keeps a quoted "\r" inside a field; the CSV reader splits rows
-    with open(path, encoding="utf-8-sig", newline="") as f:
-        return f.read()
 
 
 def _load_fis_arg(args: argparse.Namespace) -> SugenoFis:
@@ -44,7 +37,8 @@ def _load_regions_arg(args: argparse.Namespace) -> LosRegionModel:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -78,8 +72,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate(fis, model, data, args.epsilon)
     _emit(report.render(), args.out)
     if args.out:
-        json_path = Path(args.out + ".json")
-        json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+        _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out + ".json")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Textual configuration language for a complete Sugeno inference system.
 
-A ``.fis`` document is line oriented (UTF-8, LF or CRLF), with ``#`` starting
-a comment.  Keywords are lower case, the rule connectives IF / IS / AND /
-THEN are upper case, and identifiers are case sensitive::
+A ``.fis`` document is line oriented (UTF-8; LF, CRLF or CR), with ``#``
+starting a comment.  Keywords are lower case, the rule connectives IF / IS /
+AND / THEN are upper case, and identifiers are case sensitive::
 
     set and_operator min
     variable input TrafficFlow [veh/h] domain 0 6000
@@ -96,69 +96,65 @@ class FisDocument:
     and_operator: str = "min"
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*|-?[0-9]+(?:\.[0-9]+)?|[\[\]=]|\S")
-_NUM_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?$")
-_COUNT_RE = re.compile(r"[0-9]+$")
+_TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_/]*)|(?P<number>-?[0-9]+(?:\.[0-9]+)?)|\S")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*$")
 
 
 class _Line:
-    """Token cursor over one source line."""
+    """Token cursor over one source line that holds a token.  Each token is
+    its text, its 1-based column and its kind: "name", "number", or None for
+    any other single character."""
 
     def __init__(self, lineno: int, text: str):
         self.lineno = lineno
         body = text.split("#", 1)[0]
-        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(body)]
+        self.tokens = [(m.group(), m.start() + 1, m.lastgroup) for m in _TOKEN_RE.finditer(body)]
         self.pos = 0
 
-    def peek(self) -> tuple[str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, expect: str) -> tuple[str, int]:
-        got = self.peek()
-        if got is None:
-            last_col = self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1
-            raise ParseError(self.lineno, last_col, f"expected {expect}, got end of line")
+    def take(self, expect: str, kind: str | None = None) -> tuple[str, int]:
+        """The next token, which must be of ``kind`` unless that is None."""
+        if self.pos == len(self.tokens):
+            tok, col, _ = self.tokens[-1]
+            raise ParseError(self.lineno, col + len(tok), f"expected {expect}, got end of line")
+        tok, col, got = self.tokens[self.pos]
+        if kind is not None and got != kind:
+            raise ParseError(self.lineno, col, f"expected {expect}, got {tok!r}")
         self.pos += 1
-        return got
+        return tok, col
 
     def keyword(self, *words: str) -> tuple[str, int]:
         """The next token, which must be one of ``words``."""
-        got = self.peek()
-        if got is not None and got[0] in words:
-            self.pos += 1
-            return got
+        if self.pos < len(self.tokens) and self.tokens[self.pos][0] in words:
+            return self.take("")
         quoted = [f"'{word}'" for word in words]
         expect = f"{', '.join(quoted[:-1])} or {quoted[-1]}" if len(quoted) > 1 else quoted[0]
-        tok, col = self.next(expect)  # raises at the end of the line
+        tok, col = self.take(expect)  # raises at the end of the line
         raise ParseError(self.lineno, col, f"expected {expect}, got {tok!r}")
 
-    def ident(self, what: str) -> tuple[str, int]:
-        tok, col = self.next(what)
-        if not _IDENT_RE.match(tok):
-            raise ParseError(self.lineno, col, f"expected {what}, got {tok!r}")
-        return tok, col
-
-    def number(self, what: str = "a number") -> tuple[float, int]:
-        tok, col = self.next(what)
-        if not _NUM_RE.match(tok):
-            raise ParseError(self.lineno, col, f"expected {what}, got {tok!r}")
+    def number(self, what: str) -> tuple[float, int]:
+        tok, col = self.take(what, "number")
         value = float(tok)
         if not math.isfinite(value):
             raise ParseError(self.lineno, col, f"number {tok[:24]}... is too large")
         return value, col
 
     def count(self, what: str) -> tuple[int, int]:
-        """A non-negative integer in plain digits."""
-        tok, col = self.next(what)
-        if not _COUNT_RE.match(tok):
+        """A non-negative integer in plain ASCII digits."""
+        tok, col = self.take(what, "number")
+        if not tok.isdigit():
             raise ParseError(self.lineno, col, f"expected {what}, got {tok!r}")
         return int(tok), col
 
     def end(self) -> None:
-        got = self.peek()
-        if got is not None:
-            raise ParseError(self.lineno, got[1], f"unexpected trailing {got[0]!r}")
+        if self.pos < len(self.tokens):
+            tok, col, _ = self.tokens[self.pos]
+            raise ParseError(self.lineno, col, f"unexpected trailing {tok!r}")
+
+
+def _statements(source: str):
+    """A ``_Line`` for each line of ``source`` that holds a token."""
+    lines = (_Line(number, raw) for number, raw in enumerate(source.splitlines(), start=1))
+    return (line for line in lines if line.tokens)
 
 
 def parse(source: str) -> FisDocument:
@@ -170,54 +166,51 @@ def parse(source: str) -> FisDocument:
     doc = FisDocument()
     current_var: VarDecl | None = None
     saw_directive = False
-    for number, raw in enumerate(source.splitlines(), start=1):
-        line = _Line(number, raw)
-        if not line.tokens:
-            continue
+    for line in _statements(source):
         word, col = line.keyword("variable", "mf", "rule", "set")
         if word == "variable":
             kind, _ = line.keyword("input", "output")
-            name, ncol = line.ident("a variable name")
+            name, ncol = line.take("a variable name", "name")
             unit = ""
-            if line.peek() and line.peek()[0] == "[":
+            if line.pos < len(line.tokens) and line.tokens[line.pos][0] == "[":
                 line.keyword("[")
-                unit, _ = line.ident("a unit")
+                unit, _ = line.take("a unit", "name")
                 line.keyword("]")
             line.keyword("domain")
             lo, _ = line.number("the domain lower bound")
             hi, _ = line.number("the domain upper bound")
             line.end()
-            current_var = VarDecl(number, ncol, kind, name, unit, lo, hi)
+            current_var = VarDecl(line.lineno, ncol, kind, name, unit, lo, hi)
             doc.variables.append(current_var)
         elif word == "mf":
             if current_var is None:
-                raise ParseError(number, col, "mf declaration before any variable")
-            term, tcol = line.ident("a term name")
+                raise ParseError(line.lineno, col, "mf declaration before any variable")
+            term, tcol = line.take("a term name", "name")
             line.keyword("trap")
             points = tuple(line.number("a breakpoint")[0] for _ in range(4))
             line.end()
-            current_var.mfs.append(MfDecl(number, tcol, term, points))
+            current_var.mfs.append(MfDecl(line.lineno, tcol, term, points))
         elif word == "rule":
             line.keyword("IF")
             clauses = []
             while True:
-                var, vcol = line.ident("a variable name")
+                var, vcol = line.take("a variable name", "name")
                 line.keyword("IS")
-                term, _ = line.ident("a term name")
-                clauses.append(ClauseStmt(number, vcol, var, term))
+                term, _ = line.take("a term name", "name")
+                clauses.append(ClauseStmt(line.lineno, vcol, var, term))
                 if line.keyword("AND", "THEN")[0] == "THEN":
                     break
-            output, _ = line.ident("the output variable name")
+            output, _ = line.take("the output variable name", "name")
             line.keyword("=")
             value, _ = line.number("the consequent value")
             line.end()
-            doc.rules.append(RuleStmt(number, col, clauses, output, value))
+            doc.rules.append(RuleStmt(line.lineno, col, clauses, output, value))
         else:
             line.keyword("and_operator")
             op, _ = line.keyword("min", "product")
             line.end()
             if saw_directive:
-                raise ParseError(number, col, "duplicate and_operator directive")
+                raise ParseError(line.lineno, col, "duplicate and_operator directive")
             saw_directive = True
             doc.and_operator = op
     if not doc.variables:
@@ -324,10 +317,17 @@ def parse_fis(source: str) -> SugenoFis:
     return build_fis(parse(source))
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file without a leading byte-order mark, its
+    newlines kept as they are: the CSV reader splits records itself, and
+    ``str.splitlines`` splits CRLF and a lone CR as universal newlines do."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        return handle.read()
+
+
 def load_fis(path) -> SugenoFis:
     """``parse_fis`` of a UTF-8 file; a leading byte-order mark is ignored."""
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return parse_fis(handle.read())
+    return parse_fis(_read_text(path))
 
 
 def _format_number(value: float) -> str:

@@ -22,7 +22,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .dsl import ParseError, _Line
+from .dsl import ParseError, _read_text, _statements
 from .engine import FisConfigError, FuzzyVariable, Location, OutOfDomainError, SugenoFis
 
 LOS_DESCRIPTIONS = {
@@ -168,18 +168,15 @@ def parse_regions(source: str) -> LosRegionModel:
     lanes = 1
     regions: list[tuple[int, Rect]] = []
     lines: dict[Location, int] = {}  # model location -> line number
-    for number, raw in enumerate(source.splitlines(), start=1):
-        line = _Line(number, raw)
-        if not line.tokens:
-            continue
+    for line in _statements(source):
         try:
             statement, column = line.keyword("lanes", "region")
             if statement == "lanes":
                 lanes, _ = line.count("the lane count")
                 line.end()
                 if ("lanes",) in lines:
-                    raise ParseError(number, column, "duplicate lanes statement")
-                lines[("lanes",)] = number
+                    raise ParseError(line.lineno, column, "duplicate lanes statement")
+                lines[("lanes",)] = line.lineno
                 continue
             level, _ = line.count("the level")
             line.keyword("flow")
@@ -191,8 +188,8 @@ def parse_regions(source: str) -> LosRegionModel:
         except ParseError as exc:
             raise RegionError(str(exc)) from None
         except RegionError as exc:  # from Rect
-            raise RegionError(f"line {number}: {exc}") from None
-        lines[("regions", len(regions) - 1)] = number
+            raise RegionError(f"line {line.lineno}: {exc}") from None
+        lines[("regions", len(regions) - 1)] = line.lineno
     try:
         return LosRegionModel(regions=tuple(regions), lanes=lanes)
     except RegionError as exc:
@@ -203,8 +200,7 @@ def parse_regions(source: str) -> LosRegionModel:
 
 def load_regions(path) -> LosRegionModel:
     """``parse_regions`` of a UTF-8 file; a leading byte-order mark is ignored."""
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return parse_regions(handle.read())
+    return parse_regions(_read_text(path))
 
 
 @dataclass(frozen=True)

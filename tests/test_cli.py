@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +352,20 @@ def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, command):
         assert (code, err) == (0, "")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_a_clean_import_reads_the_shipped_files_from_the_package_directory():
+    # python -S runs no site .pth file, which could import these first
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fuzzylos.cli, fuzzylos; "
+        "fuzzylos.default_fis(); fuzzylos.default_regions(); "
+        "print(sorted({'importlib.resources', 'pathlib'} & set(sys.modules)))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_idempotent_invocations(capsys, tmp_path):

@@ -135,6 +135,20 @@ def test_crlf_and_comments_accepted():
     assert len(fis.rules) == 1
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_files_load_whatever_their_line_ends(tmp_path, default_fis, default_model, newline):
+    # files are read with their newlines kept; lines split as with LF
+    paths = {}
+    for kind, text in (("fis", fz.default_fis_text()), ("los", fz.default_regions_text())):
+        paths[kind] = tmp_path / f"shipped.{kind}"
+        paths[kind].write_bytes(text.replace("\n", newline).encode("utf-8"))
+    assert fz.load_fis(paths["fis"]) == default_fis
+    assert fz.load_regions(paths["los"]) == default_model
+    paths["los"].write_bytes(f"lanes 3{newline}{newline}lanes x{newline}".encode("utf-8"))
+    with pytest.raises(fz.RegionError, match="^line 3, column 7: expected the lane count, got 'x'$"):
+        fz.load_regions(paths["los"])
+
+
 def test_three_input_documents_parse():
     source = """\
 variable input A domain 0 1

@@ -39,8 +39,6 @@ def test_region_file_errors():
     with pytest.raises(RegionError):
         parse_regions("blargh 1 2 3")
     with pytest.raises(RegionError):
-        parse_regions("lanes ١٠\nregion 1 flow 0 10 speed 0 10")  # non-ASCII digits
-    with pytest.raises(RegionError):
         parse_regions("")  # no rectangles
     with pytest.raises(RegionError):
         parse_regions(
@@ -60,7 +58,12 @@ def test_region_file_errors():
      "line 2, column 17: expected a flow bound, got 'x'"),
     ("lanes 2\nregion 1 flow 20 10 speed 0 10\n",
      "line 2: degenerate rectangle flow [20.0, 10.0] speed [0.0, 10.0]"),
-], ids=["lanes", "level", "overlap", "number", "degenerate"])
+    # str.isdigit accepts Arabic-Indic digits; the grammar takes ASCII only
+    ("lanes \u0661\u0660\nregion 1 flow 0 10 speed 0 10\n",
+     "line 1, column 7: expected the lane count, got '\u0661'"),
+    ("region \u0663 flow 0 10 speed 0 10\n",
+     "line 1, column 8: expected the level, got '\u0663'"),
+], ids=["lanes", "level", "overlap", "number", "degenerate", "lanes-digits", "level-digits"])
 def test_region_model_errors_name_their_line(text, message):
     with pytest.raises(RegionError) as raised:
         parse_regions(text)
