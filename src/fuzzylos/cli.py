@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from . import default_fis, default_fis_text, default_regions
@@ -72,6 +71,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate(fis, model, data, args.epsilon)
     _emit(report.render(), args.out)
     if args.out:
+        import json
+
         _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out + ".json")
     return 0
 

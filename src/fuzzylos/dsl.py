@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 from .engine import FisConfigError, FuzzyVariable, Location, Rule, SugenoFis, TrapezoidMF
 
@@ -52,6 +51,8 @@ class FisValidationError(ValueError):
 
 @dataclass
 class MfDecl:
+    """An ``mf`` line; ``line`` and ``column`` point at its term name."""
+
     line: int
     column: int
     term: str
@@ -60,6 +61,8 @@ class MfDecl:
 
 @dataclass
 class VarDecl:
+    """A ``variable`` line; ``line`` and ``column`` point at the variable name."""
+
     line: int
     column: int
     kind: str  # "input" | "output"
@@ -72,6 +75,8 @@ class VarDecl:
 
 @dataclass
 class ClauseStmt:
+    """One ``X IS T`` clause of a rule; ``line`` and ``column`` point at ``X``."""
+
     line: int
     column: int
     variable: str
@@ -80,6 +85,8 @@ class ClauseStmt:
 
 @dataclass
 class RuleStmt:
+    """A ``rule`` line; ``line`` and ``column`` point at the keyword ``rule``."""
+
     line: int
     column: int
     clauses: list[ClauseStmt]
@@ -97,7 +104,6 @@ class FisDocument:
 
 
 _TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_/]*)|(?P<number>-?[0-9]+(?:\.[0-9]+)?)|\S")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*$")
 
 
 class _Line:
@@ -336,12 +342,15 @@ def _format_number(value: float) -> str:
     exponent notation the grammar does not allow)."""
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
+    from decimal import Decimal
+
     return format(Decimal(repr(value)), "f")
 
 
 def _identifier(name: str, what: str) -> str:
-    """``name`` itself, or ValueError if the grammar cannot read it back."""
-    if not _IDENT_RE.fullmatch(name):
+    """``name`` itself, or ValueError unless the reader takes it as one name token."""
+    match = _TOKEN_RE.fullmatch(name)
+    if match is None or match.lastgroup != "name":
         raise ValueError(f"cannot serialize {what} {name!r}: not a .fis identifier")
     return name
 

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import fsum
-from typing import Mapping, Sequence
 
 
 Location = tuple[str | int, ...]  # a path into a constructor's arguments

@@ -9,14 +9,13 @@ as are points the system flags as anomalous.
 
 from __future__ import annotations
 
-import csv
+# csv, random and datetime are imported in the functions that use them, so a CLI start loads none.
 import io
 import math
-import random
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
 from itertools import accumulate, groupby
-from typing import Iterable, Iterator, NamedTuple
 
 from .engine import OutOfDomainError, SugenoFis, grid_value
 from .regions import LosRegionModel, classifier, los_inputs, oracle_label
@@ -29,13 +28,8 @@ class IngestError(ValueError):
     """The input CSV cannot be accepted (a bad header, or any bad row in ``label_csv``)."""
 
 
-class Measurement(NamedTuple):
-    """One traffic observation; the timestamp is carried through opaquely."""
-
-    timestamp: str
-    speed: float
-    flow: float
-    los: int | None = None
+Measurement = namedtuple("Measurement", ("timestamp", "speed", "flow", "los"), defaults=(None,))
+Measurement.__doc__ = "One traffic observation; the timestamp is carried through opaquely."
 
 
 def _rejection(record: list[str], line: int) -> ValueError:
@@ -68,6 +62,8 @@ def _read_rows(text: str, labels: bool) -> Iterator[tuple[int, list[str], _Row |
     message names that line.  A quantity is accepted exactly when ``float``
     reads its stripped text as a finite number that is not negative.
     """
+    import csv
+
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = tuple(h.strip() for h in next(reader))
@@ -144,6 +140,9 @@ def generate_synthetic(model: LosRegionModel, n: int, seed: int) -> list[Measure
     """
     if type(n) is not int or n <= 0:
         raise ValueError(f"need a positive sample count, got {n!r}")
+    import random
+    from datetime import datetime, timedelta
+
     rng = random.Random(seed)
     rects = [rect for _, rect in model.regions]
     areas = ((rect.flow_hi - rect.flow_lo) * (rect.speed_hi - rect.speed_lo) for rect in rects)
@@ -368,6 +367,8 @@ def label_csv(model: LosRegionModel, text: str) -> str:
     outside the model's envelope, rejects the whole input with an IngestError
     that names its line.
     """
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     # A "\n" terminator makes csv.writer quote "\n" but not "\r", which readers

@@ -368,6 +368,24 @@ def test_a_clean_import_reads_the_shipped_files_from_the_package_directory():
     assert result.stdout == "[]\n"
 
 
+def test_a_clean_import_loads_no_module_that_only_one_function_uses():
+    # The stdlib modules the package keeps are imported first, so a module
+    # that one of them imports itself on some Python version is not counted.
+    kept = "argparse, dataclasses, re, io, math, bisect, itertools, functools, collections.abc, os"
+    code = (
+        f"import sys; import {kept}; before = set(sys.modules); "
+        "sys.path.insert(0, sys.argv[1]); import fuzzylos.cli, fuzzylos; "
+        "fuzzylos.default_fis(); fuzzylos.default_regions(); "
+        "print(sorted(set(sys.argv[2:]) & (set(sys.modules) - before)))"
+    )
+    absent = ["json", "decimal", "datetime", "random", "csv", "typing", "importlib.resources", "pathlib"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src), *absent], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
 def test_idempotent_invocations(capsys, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -18,7 +18,8 @@ side of, every rectangle edge and envelope corner of a random region model.
 ``generate_rules``, which counts core samples per axis, must give the rules
 or the conflict that asking the region oracle at every sample gives.
 ``build_fis`` must turn any parseable ``.fis`` text into a system or into
-positioned errors, and nothing else.
+positioned errors, and nothing else, and ``serialize`` must write a term
+name exactly when the reader reads it back as that name.
 """
 
 import csv
@@ -26,6 +27,7 @@ import dataclasses
 import io
 import math
 import random
+import string
 import struct
 import sys
 
@@ -445,3 +447,29 @@ def test_build_fis_returns_a_system_or_positioned_errors(text):
                 line = lines[error.line - 1]
                 assert error.line == 1 or line.split()[0] in {"variable", "mf", "rule"}
                 assert 1 <= error.column <= len(line)
+
+
+def reads_back_as_one_term_name(name: str) -> bool:
+    try:
+        doc = fz.parse(f"variable input X domain 0 1\n  mf {name} trap 0 0 1 1\n")
+    except fz.ParseError:
+        return False
+    return doc.variables[0].mfs[0].term == name
+
+
+@PROPERTY_SETTINGS
+@given(name=st.text(alphabet=string.ascii_letters + string.digits + "_/-. [#é", max_size=8))
+def test_serialize_writes_a_term_name_exactly_when_the_reader_reads_it_back(name):
+    variable = fz.FuzzyVariable("X", "", (0.0, 1.0), ((name, fz.TrapezoidMF(0.0, 0.0, 1.0, 1.0)),))
+    fis = fz.SugenoFis(
+        inputs=(variable,), output_name="O", output_domain=(0.0, 1.0),
+        rules=(fz.Rule((("X", name),), 1.0),),
+    )
+    try:
+        text = fz.serialize(fis)
+    except ValueError as exc:
+        assert str(exc) == f"cannot serialize term {name!r}: not a .fis identifier"
+        assert not reads_back_as_one_term_name(name)
+    else:
+        assert reads_back_as_one_term_name(name)
+        assert fz.parse_fis(text) == fis
