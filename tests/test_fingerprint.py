@@ -4,9 +4,10 @@ The other tests compare outputs with an independent evaluator within 1e-12,
 or one code path with another of the same package.  These pin the bits
 themselves: the shipped system's surface at several grids under both AND
 operators, the surfaces of seeded random two-input systems, the C1
-evaluation report, a labelled CSV, the rows and errors ``ingest`` reads from
-a messy CSV, the serialized generated rule base, and what the ``.fis`` and
-``.los`` readers say about seeded one-token mutants of the shipped files.
+evaluation report, the synthetic measurements behind it, a labelled CSV, the
+rows and errors ``ingest`` reads from a messy CSV, the serialized generated
+rule base, and what the ``.fis`` and ``.los`` readers say about seeded
+one-token mutants of the shipped files.
 A change that moves a digest on purpose updates it here and says which
 outputs changed and why.
 """
@@ -49,6 +50,13 @@ RANDOM_SURFACES = {
 }
 
 C1_REPORT = "986f302f10456ef2a37c2644dccc2216bb8c1da8453fa86d83da1886c7ea92c2"
+# repr of generate_synthetic(default_model, n, seed), keyed by (n, seed): the
+# C1 draw, whose report holds no timestamp, and a draw whose 2% share (3.5)
+# rounds up where int would truncate
+SYNTHETIC = {
+    (3825, 1): "f0b745e639dc3f95328db67a8709495caad39b22659f5fa063d7b596303d664f",
+    (175, 2): "2def313cd4361117c20f0990c1f3703d85adb0a5e9b038b4d90b04116520159a",
+}
 LABELED_CSV = "4a20138f32b1c96a62e27b2962cf0a7ef38fbf8a33adaeb363e5eaadf6a158e6"
 GENERATED_RULES = "8119949d7410cb0ca4d44bb8297edbf7cd91f1cc17be457881b2fce79b2013d3"
 INGEST = {
@@ -134,6 +142,11 @@ def test_c1_report(default_fis, default_model):
     data = fz.generate_synthetic(default_model, 3825, seed=1)
     report = fz.evaluate(default_fis, default_model, data)
     assert digest(json.dumps(report.to_dict(), sort_keys=True)) == C1_REPORT
+
+
+@pytest.mark.parametrize("n, seed", sorted(SYNTHETIC))
+def test_synthetic(default_model, n, seed):
+    assert digest(repr(fz.generate_synthetic(default_model, n, seed))) == SYNTHETIC[n, seed]
 
 
 def test_labeled_csv(default_model):
