@@ -266,14 +266,12 @@ class SugenoFis:
             problems.append((("output_domain",), f"output domain [{lo}, {hi}] must be finite"))
         elif not lo < hi:
             problems.append((("output_domain",), f"output domain [{lo}, {hi}] is empty"))
-        by_name: dict[str, FuzzyVariable] = {}
         slots: dict[str, tuple[int, dict[str, int]]] = {}  # name -> (position, term indices)
         for position, var in enumerate(self.inputs):
-            if var.name in by_name:
+            if var.name in slots:
                 problems.append((("inputs", position), f"duplicate variable {var.name!r}"))
-            by_name[var.name] = var
             slots[var.name] = (position, {term: j for j, term in enumerate(var.term_names())})
-        if self.output_name in by_name:
+        if self.output_name in slots:
             problems.append((("output_name",), f"duplicate variable {self.output_name!r}"))
 
         first_rule: dict[frozenset, int] = {}

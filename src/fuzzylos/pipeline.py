@@ -147,50 +147,32 @@ def generate_synthetic(model: LosRegionModel, n: int, seed: int) -> list[Measure
     rects = [rect for _, rect in model.regions]
     areas = ((rect.flow_hi - rect.flow_lo) * (rect.speed_hi - rect.speed_lo) for rect in rects)
     cum_areas = list(accumulate(areas))
-    flow_env = model.flow_domain
-    speed_env = model.speed_domain
-
-    points: list[tuple[float, float]] = []
-    chosen: list[int] = []
+    samples = []  # (rect, [flow, speed]) per draw
     for _ in range(n):
-        index = rng.choices(range(len(rects)), cum_weights=cum_areas)[0]
-        rect = rects[index]
-        points.append(
-            (rng.uniform(rect.flow_lo, rect.flow_hi), rng.uniform(rect.speed_lo, rect.speed_hi))
-        )
-        chosen.append(index)
+        rect = rng.choices(rects, cum_weights=cum_areas)[0]
+        flow = rng.uniform(rect.flow_lo, rect.flow_hi)
+        samples.append((rect, [flow, rng.uniform(rect.speed_lo, rect.speed_hi)]))
 
     for i in rng.sample(range(n), round(n * 0.02)):
-        rect = rects[chosen[i]]
-        flow, speed = points[i]
+        rect, point = samples[i]
         # internal edges only: never push a point out of the envelope
         edges = []
-        if rect.flow_lo > flow_env[0]:
-            edges.append(("flow", rect.flow_lo, -1.0, rect.flow_lo - flow_env[0]))
-        if rect.flow_hi < flow_env[1]:
-            edges.append(("flow", rect.flow_hi, +1.0, flow_env[1] - rect.flow_hi))
-        if rect.speed_lo > speed_env[0]:
-            edges.append(("speed", rect.speed_lo, -1.0, rect.speed_lo - speed_env[0]))
-        if rect.speed_hi < speed_env[1]:
-            edges.append(("speed", rect.speed_hi, +1.0, speed_env[1] - rect.speed_hi))
-        if not edges:
-            continue
-        axis, edge, direction, room = rng.choice(edges)
-        offset = direction * rng.uniform(0.0, min(20.0, room))
-        if axis == "flow":
-            flow = edge + offset
-        else:
-            speed = edge + offset
-        points[i] = (flow, speed)
+        for axis, lo, hi, (env_lo, env_hi) in (
+            (0, rect.flow_lo, rect.flow_hi, model.flow_domain),
+            (1, rect.speed_lo, rect.speed_hi, model.speed_domain),
+        ):
+            if lo > env_lo:
+                edges.append((axis, lo, -1.0, lo - env_lo))
+            if hi < env_hi:
+                edges.append((axis, hi, +1.0, env_hi - hi))
+        if edges:
+            axis, edge, direction, room = rng.choice(edges)
+            point[axis] = edge + direction * rng.uniform(0.0, min(20.0, room))
 
     t0 = datetime(2023, 1, 2)
     return [
-        Measurement(
-            timestamp=(t0 + timedelta(minutes=15 * i)).isoformat(),
-            speed=speed,
-            flow=flow,
-        )
-        for i, (flow, speed) in enumerate(points)
+        Measurement(timestamp=(t0 + timedelta(minutes=15 * i)).isoformat(), speed=speed, flow=flow)
+        for i, (_, (flow, speed)) in enumerate(samples)
     ]
 
 

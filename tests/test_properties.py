@@ -15,6 +15,9 @@ exactly those cells, line by line, text for text.
 ``float`` reads its stripped text as a finite number not below zero.
 ``oracle_label`` must follow the containment rule on, and 1 ulp to either
 side of, every rectangle edge and envelope corner of a random region model.
+``generate_synthetic`` must keep every point in the model's envelope and in
+some rectangle widened by 20 along one axis, with at most its 2% share of
+points outside every rectangle, unless every rectangle's area underflows to 0.
 ``generate_rules``, which counts core samples per axis, must give the rules
 or the conflict that asking the region oracle at every sample gives.
 ``build_fis`` must turn any parseable ``.fis`` text into a system or into
@@ -261,6 +264,36 @@ def test_oracle_label_on_and_one_ulp_around_every_edge(model):
             ]
             assert len(owners) <= 1
             assert fz.oracle_label(model, flow, speed) == (owners[0] if owners else None)
+
+
+def in_rect(m: fz.Measurement, r: fz.Rect, flow_margin=0.0, speed_margin=0.0) -> bool:
+    """Whether the point lies in the closed rectangle widened by the margins."""
+    return (
+        r.flow_lo - flow_margin <= m.flow <= r.flow_hi + flow_margin
+        and r.speed_lo - speed_margin <= m.speed <= r.speed_hi + speed_margin
+    )
+
+
+@PROPERTY_SETTINGS
+@given(model=region_models(), n=st.integers(min_value=1, max_value=400), seed=seeds)
+def test_generate_synthetic_pushes_few_points_a_little_and_stays_in_the_envelope(model, n, seed):
+    (flow_lo, flow_hi), (speed_lo, speed_hi) = model.flow_domain, model.speed_domain
+    rects = [r for _, r in model.regions]
+    if not any((r.flow_hi - r.flow_lo) * (r.speed_hi - r.speed_lo) for r in rects):
+        # A known limit: when every area underflows to 0 there is no weight to
+        # draw a rectangle by, and random.choices refuses the zero total.
+        with pytest.raises(ValueError, match="Total of weights must be greater than zero"):
+            fz.generate_synthetic(model, n, seed)
+        return
+    data = fz.generate_synthetic(model, n, seed)
+    assert len(data) == n
+    outside = 0
+    for m in data:
+        assert flow_lo <= m.flow <= flow_hi and speed_lo <= m.speed <= speed_hi
+        # drawn in a closed rectangle, or pushed at most 20 across one of its edges
+        assert any(in_rect(m, r, 20.0) or in_rect(m, r, speed_margin=20.0) for r in rects)
+        outside += not any(in_rect(m, r) for r in rects)
+    assert outside <= round(0.02 * n)
 
 
 def trapezoids(breakpoints: int):
