@@ -9,7 +9,7 @@ as are points the system flags as anomalous.
 
 from __future__ import annotations
 
-# csv, random and datetime are imported in the functions that use them, so a CLI start loads none.
+# csv (in _read_rows only), random and datetime are imported where used: a CLI start loads none.
 import io
 import math
 from collections import namedtuple
@@ -136,7 +136,8 @@ def generate_synthetic(model: LosRegionModel, n: int, seed: int) -> list[Measure
     2% share of them is then pushed just across a randomly chosen internal
     rectangle edge (by up to 20 units, capped at the model envelope) to
     exercise boundary behavior.  Timestamps run at a 15-minute cadence from
-    2023-01-02T00:00:00.  Deterministic for a given seed.
+    2023-01-02T00:00:00.  Deterministic for a given seed.  A model whose
+    rectangle areas sum to 0 or overflow to inf raises ValueError.
     """
     if type(n) is not int or n <= 0:
         raise ValueError(f"need a positive sample count, got {n!r}")
@@ -147,6 +148,8 @@ def generate_synthetic(model: LosRegionModel, n: int, seed: int) -> list[Measure
     rects = [rect for _, rect in model.regions]
     areas = ((rect.flow_hi - rect.flow_lo) * (rect.speed_hi - rect.speed_lo) for rect in rects)
     cum_areas = list(accumulate(areas))
+    if not 0.0 < cum_areas[-1] < math.inf:  # every area underflows to 0, or the sum overflows
+        raise ValueError(f"no area to draw points by: rectangle areas sum to {cum_areas[-1]!r}")
     samples = []  # (rect, [flow, speed]) per draw
     for _ in range(n):
         rect = rng.choices(rects, cum_weights=cum_areas)[0]
@@ -341,6 +344,9 @@ def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+_LEVEL_TEXT = {None: "-", **{level: str(level) for level in range(1, 7)}}
+
+
 def label_csv(model: LosRegionModel, text: str) -> str:
     """Append an oracle ``los`` column to measurement CSV (all-or-nothing).
 
@@ -348,16 +354,14 @@ def label_csv(model: LosRegionModel, text: str) -> str:
     preserved and unlabeled rows get ``-``.  Any invalid row, or any row
     outside the model's envelope, rejects the whole input with an IngestError
     that names its line.
-    """
-    import csv
 
+    Records end in ``"\\n"`` and are quoted as ``csv.writer`` quotes them
+    with that terminator: a field holding ``,``, ``"`` or ``"\\n"`` is quoted,
+    its quotes doubled.  A reader takes a bare ``"\\r"`` for a line break, so
+    a record with a field holding one has every field quoted, the level too.
+    """
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    # A "\n" terminator makes csv.writer quote "\n" but not "\r", which readers
-    # take for a line break, so a row with one is quoted whole; only a text with one is searched.
-    quoting_writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    has_cr = "\r" in text
-    writer.writerow(LABELED_CSV_HEADER)
+    out.write(",".join(LABELED_CSV_HEADER) + "\n")
     for line, record, row in _read_rows(text, labels=False):
         if type(row) is not tuple:
             raise IngestError(str(row))
@@ -366,7 +370,14 @@ def label_csv(model: LosRegionModel, text: str) -> str:
             level = oracle_label(model, flow, speed)
         except OutOfDomainError as exc:
             raise IngestError(f"line {line}: {exc}") from None
-        quoted = has_cr and any("\r" in field for field in record)
-        record.append("-" if level is None else level)
-        (quoting_writer if quoted else writer).writerow(record)
+        record.append(_LEVEL_TEXT[level])
+        joined = ",".join(record)
+        # the common record, four fields none of which holds a comma, quote or line break
+        if joined.count(",") != 3 or '"' in joined or "\n" in joined or "\r" in joined:
+            cr = "\r" in joined
+            joined = ",".join(
+                '"' + f.replace('"', '""') + '"' if cr or "," in f or '"' in f or "\n" in f else f
+                for f in record
+            )
+        out.write(joined + "\n")
     return out.getvalue()

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import random
+import sys
 from datetime import datetime
 from fractions import Fraction
 
@@ -192,6 +193,23 @@ class TestSyntheticData:
             with pytest.raises(ValueError) as raised:
                 generate_synthetic(default_model, n, seed=1)
             assert str(raised.value) == f"need a positive sample count, got {n!r}"
+
+    def test_areas_that_sum_to_zero_name_the_cause(self):
+        model = LosRegionModel(((1, Rect(0.0, 1e-200, 0.0, 1e-200)),))  # the area underflows
+        with pytest.raises(ValueError) as raised:
+            generate_synthetic(model, 3, seed=1)
+        assert str(raised.value) == "no area to draw points by: rectangle areas sum to 0.0"
+
+    def test_areas_that_overflow_name_the_cause(self):
+        model = LosRegionModel(
+            regions=(
+                (1, Rect(0.0, 3000.0, 0.0, 50.0)),
+                (2, Rect(3000.0, sys.float_info.max, 0.0, sys.float_info.max)),  # area inf
+            )
+        )
+        with pytest.raises(ValueError) as raised:
+            generate_synthetic(model, 3, seed=1)
+        assert str(raised.value) == "no area to draw points by: rectangle areas sum to inf"
 
 
 def miscalibrated_fis():
@@ -513,3 +531,26 @@ class TestLabelCsv:
         )
         assert label_csv(default_model, lf) == expected
         assert label_csv(default_model, lf.replace("\n", "\r\n")) == expected
+
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+    def test_a_timestamp_with_a_comma_is_quoted(self, default_model, terminator):
+        text = terminator.join(["timestamp,speed_kmh,flow_vph", '"t,0",62.0,1200', ""])
+        assert label_csv(default_model, text) == (
+            "timestamp,speed_kmh,flow_vph,los\n" '"t,0",62.0,1200,1\n'
+        )
+
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+    def test_a_timestamp_with_quotes_is_quoted_with_its_quotes_doubled(
+        self, default_model, terminator
+    ):
+        text = terminator.join(["timestamp,speed_kmh,flow_vph", '"say ""hi""",62.0,1200', ""])
+        assert label_csv(default_model, text) == (
+            "timestamp,speed_kmh,flow_vph,los\n" '"say ""hi""",62.0,1200,1\n'
+        )
+
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+    def test_a_timestamp_with_a_line_feed_is_quoted(self, default_model, terminator):
+        text = terminator.join(["timestamp,speed_kmh,flow_vph", '"t\n0",62.0,1200', ""])
+        assert label_csv(default_model, text) == (
+            "timestamp,speed_kmh,flow_vph,los\n" '"t\n0",62.0,1200,1\n'
+        )

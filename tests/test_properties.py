@@ -13,11 +13,15 @@ exactly those cells, line by line, text for text.
 ``ingest`` must read back exactly what ``csv.writer`` wrote, and what
 ``label_csv`` wrote from it, and accept a speed or flow field exactly when
 ``float`` reads its stripped text as a finite number not below zero.
+``label_csv`` must write back every field's text, padding included, with
+its level, quoting a record whole when it holds ``"\\r"`` and otherwise
+exactly the fields that hold ``,``, ``"`` or ``"\\n"``.
 ``oracle_label`` must follow the containment rule on, and 1 ulp to either
 side of, every rectangle edge and envelope corner of a random region model.
 ``generate_synthetic`` must keep every point in the model's envelope and in
 some rectangle widened by 20 along one axis, with at most its 2% share of
-points outside every rectangle, unless every rectangle's area underflows to 0.
+points outside every rectangle, or name the cause when every rectangle's area
+underflows to 0.
 ``generate_rules``, which counts core samples per axis, must give the rules
 or the conflict that asking the region oracle at every sample gives.
 ``build_fis`` must turn any parseable ``.fis`` text into a system or into
@@ -280,9 +284,9 @@ def test_generate_synthetic_pushes_few_points_a_little_and_stays_in_the_envelope
     (flow_lo, flow_hi), (speed_lo, speed_hi) = model.flow_domain, model.speed_domain
     rects = [r for _, r in model.regions]
     if not any((r.flow_hi - r.flow_lo) * (r.speed_hi - r.speed_lo) for r in rects):
-        # A known limit: when every area underflows to 0 there is no weight to
-        # draw a rectangle by, and random.choices refuses the zero total.
-        with pytest.raises(ValueError, match="Total of weights must be greater than zero"):
+        # every area underflows to 0, so there is no weight to draw a rectangle by
+        message = r"^no area to draw points by: rectangle areas sum to 0\.0$"
+        with pytest.raises(ValueError, match=message):
             fz.generate_synthetic(model, n, seed)
         return
     data = fz.generate_synthetic(model, n, seed)
@@ -416,6 +420,51 @@ def test_ingest_accepts_a_quantity_exactly_when_float_reads_it_finite_and_not_ne
         assert [bits(x) for x in rows[0][1:3]] == [bits(x) for x in expected]
     else:
         assert (rows, errors) == ([], [f"line 2: {refusal}"])
+
+
+padded_timestamps = st.builds(
+    "".join,
+    st.tuples(
+        paddings,
+        st.text(
+            st.one_of(
+                st.sampled_from(',"\n\r'),
+                # no NUL: Python 3.10's csv refuses it
+                st.characters(exclude_categories=("Cs",), exclude_characters="\x00"),
+            )
+        ),
+        paddings,
+    ),
+)
+accepted_quantity_texts = st.builds("".join, st.tuples(paddings, quantities.map(repr), paddings))
+
+
+@PROPERTY_SETTINGS
+@given(
+    records=st.lists(st.tuples(padded_timestamps, accepted_quantity_texts, accepted_quantity_texts))
+)
+def test_label_csv_keeps_every_field_text_and_quotes_only_by_its_rule(records):
+    labeled_records = [list(fz.pipeline.LABELED_CSV_HEADER)]
+    for timestamp, speed, flow in records:
+        level = fz.oracle_label(ANY_QUANTITY_MODEL, float(flow.strip()), float(speed.strip()))
+        labeled_records.append([timestamp, speed, flow, "-" if level is None else str(level)])
+    # a record holding "\r" is quoted whole, else exactly the fields holding , " or "\n"
+    expected = ""
+    for fields in labeled_records:
+        whole = any("\r" in field for field in fields)
+        expected += ",".join(
+            '"' + field.replace('"', '""') + '"'
+            if whole or any(c in field for c in ',"\n')
+            else field
+            for field in fields
+        ) + "\n"
+    # the same fields written as CRLF CSV, quoted where needed, and as LF CSV, quoted all
+    for writer_options in ({}, {"lineterminator": "\n", "quoting": csv.QUOTE_ALL}):
+        text = io.StringIO()
+        csv.writer(text, **writer_options).writerows([fz.pipeline.CSV_HEADER, *records])
+        out = fz.label_csv(ANY_QUANTITY_MODEL, text.getvalue())
+        assert list(csv.reader(io.StringIO(out, newline=""))) == labeled_records
+        assert out == expected
 
 
 FIS_FAULTS = ("counts", "names", "input", "output", "terms", "breakpoints", "rules", "consequents")
