@@ -83,6 +83,7 @@ def _read_rows(text: str, labels: bool) -> Iterator[tuple[int, list[str], _Row |
         try:
             for record in reader:
                 if len(record) == width:
+                    # strip first: float() refuses \x1c-\x1f around a number, strip() drops them
                     try:
                         speed = float(record[1].strip())
                         flow = float(record[2].strip())
@@ -314,11 +315,13 @@ def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
     Each speed and each flow is fuzzified once, domain check and cell lookup
     included.  A run is a stretch of consecutive grid values with equal
     ``_cell_degrees``, cell and degrees; the grids ascend, so equal keys are
-    adjacent.  Per pair of flow run and speed run, the cell tuple's record
-    gives the decided result, or the kernel ``infer`` uses, a pure function
-    of its inputs, runs once, and the raw value is formatted once; degrees
-    are never NaN or -0.0, so equal keys are identical inputs and each
-    value is bit-identical to ``infer``.
+    adjacent, and so are the runs of one flow cell.  When the flow cell
+    changes, each speed run's record is read once: a decided tuple's tails,
+    speed and raw text, are formatted then, as they hold for every flow in
+    the cell.  Per pair of flow run and undecided speed run the kernel
+    ``infer`` uses, a pure function of its inputs, runs once, and the raw
+    value is formatted once; degrees are never NaN or -0.0, so equal keys
+    are identical inputs and each value is bit-identical to ``infer``.
     """
     if not all(type(steps) is int and steps >= 2 for steps in (flow_steps, speed_steps)):
         raise ValueError("surface export needs at least 2 steps per axis")
@@ -332,12 +335,24 @@ def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
     record, fire = fis._record, fis._fire
     flows = (grid_value(*flow_var.domain, flow_steps, i) for i in range(flow_steps))
     lines = ["flow_vph,speed_kmh,raw_los"]
+    cell = None
     for (flow_cell, flow_degrees), run in groupby(flows, flow_var._cell_degrees):
+        if flow_cell != cell:
+            # per undecided speed run: the decided tails before it, then what firing it needs
+            cell, undecided, decided_tails = flow_cell, [], []
+            for (speed_cell, degrees), speed_texts in speed_runs:
+                candidates, decided = record((flow_cell, speed_cell))
+                if decided:
+                    decided_tails += [speed_text + repr(decided[0]) for speed_text in speed_texts]
+                else:
+                    undecided.append((decided_tails, candidates, degrees, speed_texts))
+                    decided_tails = []
         tails = []
-        for (speed_cell, degrees), speed_texts in speed_runs:
-            candidates, decided = record((flow_cell, speed_cell))
-            raw_text = repr((decided or fire(candidates, (flow_degrees, degrees)))[0])
+        for before, candidates, degrees, speed_texts in undecided:
+            tails += before
+            raw_text = repr(fire(candidates, (flow_degrees, degrees))[0])
             tails += [speed_text + raw_text for speed_text in speed_texts]
+        tails += decided_tails
         for flow in run:
             flow_text = repr(flow)
             lines.append(flow_text + ("\n" + flow_text).join(tails))

@@ -13,7 +13,9 @@ Classification rounds a two-input system's output to a level.  ``classifier``
 checks the system once and returns the per-point function that ``classify``
 and ``pipeline.evaluate`` share: it reads the engine's memo and fires its one
 kernel, ``SugenoFis._fire``, as ``infer`` and ``pipeline.export_surface`` do,
-and returns a plain ``(raw, level, boundary)``, which ``classify`` wraps.
+and returns a plain ``(raw, level, boundary)``, which ``classify`` wraps.  It
+keeps that tuple for each decided cell tuple it meets, so a point there costs
+two cell lookups and one dict lookup.
 """
 
 from __future__ import annotations
@@ -241,23 +243,35 @@ def classifier(fis: SugenoFis, epsilon: float) -> Callable[[float, float], tuple
     for a system without exactly two inputs or without rules.  The function
     locates the flow, then the speed, and fires the kernel unless the cell
     tuple's record is decided; raw outputs round half up and clamp to
-    [1, 6], and no rule firing is an anomaly.
+    [1, 6], and no rule firing is an anomaly.  A decided tuple's output is
+    the same at every point of it, so the function keeps its finished tuple
+    and answers later points there right after locating them.  That memo
+    lives as long as the function, holds at most one entry per cell tuple
+    and needs no lock, as the system's own memo needs none.
     """
     if not 0 <= epsilon < 0.5:
         raise ValueError(f"epsilon must lie in [0, 0.5), got {epsilon}")
     flow_var, speed_var = los_inputs(fis)
     fis.check_rules()
     record, fire = fis._record, fis._fire
+    rated: dict[tuple[int, int], tuple[float, int | None, bool]] = {}  # decided tuples only
 
     def rate(flow: float, speed: float) -> tuple[float, int | None, bool]:
-        flow_cell, speed_cell = flow_var._locate(flow), speed_var._locate(speed)
-        candidates, decided = record((flow_cell, speed_cell))
+        cells = flow_var._locate(flow), speed_var._locate(speed)
+        result = rated.get(cells)
+        if result is not None:
+            return result
+        candidates, decided = record(cells)
         raw, fired = decided or fire(
-            candidates, (flow_var._fill(flow_cell, flow), speed_var._fill(speed_cell, speed))
+            candidates, (flow_var._fill(cells[0], flow), speed_var._fill(cells[1], speed))
         )
         if fired == 0:
-            return raw, None, False
-        return raw, min(max(math.floor(raw + 0.5), 1), 6), abs(raw - round(raw)) > epsilon
+            result = raw, None, False
+        else:
+            result = raw, min(max(math.floor(raw + 0.5), 1), 6), abs(raw - round(raw)) > epsilon
+        if decided:
+            rated[cells] = result
+        return result
 
     return rate
 

@@ -1,7 +1,8 @@
 """Shared test machinery: random system generation, an independent
 brute-force Sugeno evaluator used as the oracle for the engine, a
 sample-by-sample rule generator used as the oracle for ``generate_rules``,
-and the reference wording of ``ingest``'s quantity errors."""
+the reference wording of ``ingest``'s quantity errors, and points in every
+cell of a variable."""
 
 from __future__ import annotations
 
@@ -106,6 +107,18 @@ def random_fis(rng: random.Random, max_inputs: int = 3, min_inputs: int = 1) -> 
         rules=tuple(rules),
         and_operator=rng.choice(["min", "product"]),
     )
+
+
+def cell_points(var: FuzzyVariable) -> list[float]:
+    """Every cut of ``var``, the floats next to it inside the domain and
+    every open cell's midpoint: a point in each of its cells, several in
+    each open one."""
+    cuts = var._cells[0]
+    points = set(cuts)
+    points.update(math.nextafter(cut, var.domain[0]) for cut in cuts[1:])
+    points.update(math.nextafter(cut, var.domain[1]) for cut in cuts[:-1])
+    points.update((left + right) / 2 for left, right in zip(cuts, cuts[1:]))
+    return sorted(points)
 
 
 def random_point(rng: random.Random, fis: SugenoFis) -> dict[str, float]:

@@ -461,6 +461,32 @@ class TestSurface:
                          for i in (40, 41))
         assert row != next_row
 
+    @pytest.mark.parametrize("operator", ["min", "product"])
+    def test_flows_sharing_a_cell_share_its_decided_text_only(self, default_fis, operator):
+        # Step 100 puts 2800..3200 in the ramp cell (2700, 3240), where Low
+        # meets Middle, and 100..1100 on Very_Low's plateau (0, 1200).  A
+        # decided pair's text is built once per flow cell; an undecided
+        # pair's raw still differs from flow to flow.
+        fis = dataclasses.replace(default_fis, and_operator=operator)
+        flow_var, speed_var = fis.inputs
+        flows = [grid_value(*flow_var.domain, 61, i) for i in range(61)]
+        speeds = [grid_value(*speed_var.domain, 41, j) for j in range(41)]
+        ramp = [flow for flow in flows if 2700.0 < flow < 3240.0]
+        plateau = [flow for flow in flows if 0.0 < flow < 1200.0]
+        assert len(ramp) == 5 and len(plateau) == 11
+        for run in (ramp, plateau):
+            assert len({flow_var._locate(flow) for flow in run}) == 1
+        decided = {fis._record((flow_var._locate(ramp[0]), speed_var._locate(speed)))[1]
+                   is not None for speed in speeds}
+        assert decided == {False, True}
+        assert len({infer(fis, {"TrafficFlow": flow, "Speed": 40.0}).raw for flow in ramp}) == 5
+        expected = ["flow_vph,speed_kmh,raw_los"] + [
+            f"{flow!r},{speed!r},{infer(fis, {'TrafficFlow': flow, 'Speed': speed}).raw!r}"
+            for flow in flows
+            for speed in speeds
+        ]
+        assert export_surface(fis, 61, 41).splitlines() == expected
+
     def test_step_validation(self, default_fis):
         flow_var, speed_var = default_fis.inputs
         lanes = dataclasses.replace(speed_var, name="Lanes")

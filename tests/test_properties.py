@@ -9,7 +9,10 @@ rules must be exactly the rules it fires.  ``export_surface`` and
 a random two-input surface, and ``classify`` at that cell, must be
 bit-identical to pointwise inference, and ``classify`` must round, clamp and
 flag boundaries and anomalies by its rule; ``export_surface`` must write
-exactly those cells, line by line, text for text.
+exactly those cells, line by line, text for text.  One ``classifier``, which
+keeps what it answered for each decided cell tuple, must answer a walk over
+cuts, their neighbouring floats and cell midpoints, and the walk back, as a
+fresh ``classify`` answers each point.
 ``ingest`` must read back exactly what ``csv.writer`` wrote, and what
 ``label_csv`` wrote from it, and accept a speed or flow field exactly when
 ``float`` reads its stripped text as a finite number not below zero.
@@ -44,7 +47,8 @@ from hypothesis import strategies as st
 
 import fuzzylos as fz
 from fuzzylos.engine import grid_value
-from helpers import brute_force_raw, quantity_refusal, random_fis, sampled_rules
+from fuzzylos.regions import classifier
+from helpers import brute_force_raw, cell_points, quantity_refusal, random_fis, sampled_rules
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -209,6 +213,25 @@ def test_export_surface_writes_the_grid_cell_by_cell(seed, operator, flow_steps,
     assert fz.export_surface(fis, flow_steps, speed_steps) == (
         "flow_vph,speed_kmh,raw_los\n" + expected
     )
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=seeds,
+    operator=operators,
+    epsilon=st.sampled_from([0.0, 0.05, 0.25, 0.49999999999999994]),
+    data=st.data(),
+)
+def test_one_classifier_answers_each_point_as_a_fresh_classify(seed, operator, epsilon, data):
+    fis = system(seed, operator, min_inputs=2, max_inputs=2)
+    axes = [st.sampled_from(cell_points(var)) for var in fis.inputs]
+    walk = data.draw(st.lists(st.tuples(*axes), min_size=1, max_size=60), label="walk")
+    rate = classifier(fis, epsilon)
+    for flow, speed in walk + walk[::-1]:
+        raw, level, boundary = rate(flow, speed)
+        expected = fz.classify(fis, flow, speed, epsilon)
+        assert (repr(raw), level, boundary) == (repr(expected.raw), expected.level,
+                                                expected.boundary)
 
 
 # Small integers make core samples land exactly on rectangle edges and on

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import fuzzylos as fz
@@ -11,6 +13,8 @@ from fuzzylos import (
     oracle_label,
     parse_regions,
 )
+from fuzzylos.regions import classifier
+from helpers import cell_points
 
 
 def test_level_descriptions_fixed():
@@ -330,3 +334,53 @@ def test_classify_clamps_to_level_range():
     assert c.raw == 0.2
     assert c.level == 1  # round-half-up would give 0; clamped into 1..6
     assert not c.is_anomaly
+
+
+@pytest.mark.parametrize("operator", ["min", "product"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.25, 0.49999999999999994])
+def test_one_rate_answers_every_cell_tuple_as_a_fresh_classify(default_fis, operator, epsilon):
+    # One rate keeps the finished tuple of each decided cell tuple it meets;
+    # walked twice, in two orders, it must answer every point as classify,
+    # which builds a new classifier per call, answers it.
+    fis = dataclasses.replace(default_fis, and_operator=operator)
+    flow_var, speed_var = fis.inputs
+    flows, speeds = cell_points(flow_var), cell_points(speed_var)
+    flow_major = [(flow, speed) for flow in flows for speed in speeds]
+    speed_major = [(flow, speed) for speed in reversed(speeds) for flow in reversed(flows)]
+    cells = {(flow_var._locate(flow), speed_var._locate(speed)) for flow, speed in flow_major}
+    assert len(cells) == len(flow_var._cells[1]) * len(speed_var._cells[1]) == 1209
+    rate = classifier(fis, epsilon)
+    for flow, speed in flow_major + speed_major:
+        raw, level, boundary = rate(flow, speed)
+        expected = classify(fis, flow, speed, epsilon)
+        assert (repr(raw), level, boundary) == (repr(expected.raw), expected.level,
+                                                expected.boundary), (flow, speed)
+
+
+def test_one_rate_fires_each_point_of_an_undecided_tuple(default_fis):
+    # both points lie in one cell tuple whose output depends on the point
+    points = [(3000.0, 35.0), (3100.0, 35.0)]
+    flow_var, speed_var = default_fis.inputs
+    cells = {(flow_var._locate(flow), speed_var._locate(speed)) for flow, speed in points}
+    assert len(cells) == 1 and default_fis._record(cells.pop())[1] is None
+    rate = classifier(default_fis, 0.05)
+    raws = [rate(flow, speed)[0] for flow, speed in points]
+    assert raws == [classify(default_fis, flow, speed).raw for flow, speed in points]
+    assert raws[0] != raws[1]
+
+
+def test_each_classifier_flags_boundaries_by_its_own_epsilon():
+    # one rule over the whole domain: a decided tuple whose raw is 4/3
+    var_a = fz.FuzzyVariable("A", "", (0.0, 1.0), (("t", fz.TrapezoidMF(0, 0, 1, 1)),))
+    var_b = fz.FuzzyVariable("B", "", (0.0, 1.0), (("t", fz.TrapezoidMF(0, 0, 1, 1)),))
+    fis = fz.SugenoFis(
+        inputs=(var_a, var_b),
+        output_name="O",
+        output_domain=(0.0, 6.0),
+        rules=(fz.Rule((("A", "t"), ("B", "t")), 4 / 3),),
+    )
+    assert fis._record((1, 1))[1] == (4 / 3, 1)
+    wide, narrow = classifier(fis, 0.3), classifier(fis, 0.4)
+    assert wide(0.5, 0.5) == (4 / 3, 1, True)
+    assert narrow(0.5, 0.5) == (4 / 3, 1, False)
+    assert wide(0.25, 0.75) == (4 / 3, 1, True)
