@@ -6,8 +6,9 @@ themselves: the shipped system's surface at several grids under both AND
 operators, the surfaces of seeded random two-input systems, the C1
 evaluation report, the synthetic measurements behind it, a labelled CSV, the
 rows and errors ``ingest`` reads from a messy CSV, the serialized generated
-rule base, and what the ``.fis`` and ``.los`` readers say about seeded
-one-token mutants of the shipped files.
+rule base, what the ``.fis`` and ``.los`` readers say about seeded
+one-token mutants of the shipped files, and the records they read from the
+shipped files and from each mutant they accept.
 A change that moves a digest on purpose updates it here and says which
 outputs changed and why.
 """
@@ -100,6 +101,12 @@ READER_SEED = 23
 READER_ERRORS = {
     "fis": "a2ff36aa25d782a79ec36c8c73320d64b19687e891496eed1e2c8c85d50b3a19",
     "los": "43bc06d8a21ab2c8a0a07e025d5b96812ac95b2de470748409198c077e53e2dc",
+}
+# repr of parse (fis) or parse_regions (los) of the shipped file, then of
+# each of the READER_ERRORS mutants that the reader accepts, in draw order
+ACCEPTED_DOCUMENTS = {
+    "fis": "d7fa5557a725522b214cd69117e7b4ac63c687feea087dd76905664e2808eaf0",
+    "los": "78d7072b64767464ac6fb10ece52cffdb9cfb80c99253f0eddf2332e41ea7acb",
 }
 # What a mutant puts in place of a token, or next to one, besides the file's
 # own tokens: numbers the grammar refuses or reads apart, lone punctuation, a
@@ -221,3 +228,19 @@ def test_reader_errors(kind):
         else:
             outcomes.append("ok")
     assert digest("\n".join(outcomes)) == READER_ERRORS[kind]
+
+
+@pytest.mark.parametrize("kind", ["fis", "los"])
+def test_accepted_documents(kind):
+    # the lines, columns and values of every record an accepted text yields
+    text, read = {
+        "fis": (fz.default_fis_text(), fz.parse),
+        "los": (fz.default_regions_text(), fz.parse_regions),
+    }[kind]
+    records = [repr(read(text))]
+    for mutant in token_mutants(text, random.Random(READER_SEED), READER_MUTANTS):
+        try:
+            records.append(repr(read(mutant)))
+        except ValueError:
+            pass
+    assert digest("\n".join(records)) == ACCEPTED_DOCUMENTS[kind]
