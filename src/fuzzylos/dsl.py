@@ -108,59 +108,72 @@ _TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_/]*)|(?P<number>-?[0-9]+(?
 
 class _Line:
     """Token cursor over one source line that holds a token.  Each token is
-    its text, its 1-based column and its kind: "name", "number", or None for
-    any other single character."""
+    its ``_TOKEN_RE`` match object: the text is ``m[0]``, the 1-based column
+    ``m.start() + 1`` and the kind ``m.lastgroup``: "name", "number", or None
+    for any other single character."""
 
-    def __init__(self, lineno: int, text: str):
+    def __init__(self, lineno: int, tokens: list[re.Match[str]]):
         self.lineno = lineno
-        body = text.split("#", 1)[0]
-        self.tokens = [(m.group(), m.start() + 1, m.lastgroup) for m in _TOKEN_RE.finditer(body)]
+        self.tokens = tokens
         self.pos = 0
 
-    def take(self, expect: str, kind: str | None = None) -> tuple[str, int]:
-        """The next token, which must be of ``kind`` unless that is None."""
-        if self.pos == len(self.tokens):
-            tok, col, _ = self.tokens[-1]
-            raise ParseError(self.lineno, col + len(tok), f"expected {expect}, got end of line")
-        tok, col, got = self.tokens[self.pos]
-        if kind is not None and got != kind:
-            raise ParseError(self.lineno, col, f"expected {expect}, got {tok!r}")
-        self.pos += 1
-        return tok, col
+    def take(self, expect: str, kind: str) -> re.Match[str]:
+        """The next token, which must be of ``kind``."""
+        tokens, pos = self.tokens, self.pos
+        if pos < len(tokens) and tokens[pos].lastgroup == kind:
+            self.pos = pos + 1
+            return tokens[pos]
+        raise self._expected(expect)
 
-    def keyword(self, *words: str) -> tuple[str, int]:
+    def keyword(self, *words: str) -> str:
         """The next token, which must be one of ``words``."""
-        if self.pos < len(self.tokens) and self.tokens[self.pos][0] in words:
-            return self.take("")
+        tokens, pos = self.tokens, self.pos
+        if pos < len(tokens) and (word := tokens[pos][0]) in words:
+            self.pos = pos + 1
+            return word
         quoted = [f"'{word}'" for word in words]
         expect = f"{', '.join(quoted[:-1])} or {quoted[-1]}" if len(quoted) > 1 else quoted[0]
-        tok, col = self.take(expect)  # raises at the end of the line
-        raise ParseError(self.lineno, col, f"expected {expect}, got {tok!r}")
+        raise self._expected(expect)
 
-    def number(self, what: str) -> tuple[float, int]:
-        tok, col = self.take(what, "number")
-        value = float(tok)
+    def number(self, what: str) -> float:
+        tok = self.take(what, "number")
+        value = float(tok[0])
         if not math.isfinite(value):
-            raise ParseError(self.lineno, col, f"number {tok[:24]}... is too large")
-        return value, col
+            raise ParseError(self.lineno, tok.start() + 1, f"number {tok[0][:24]}... is too large")
+        return value
 
-    def count(self, what: str) -> tuple[int, int]:
+    def count(self, what: str) -> int:
         """A non-negative integer in plain ASCII digits."""
-        tok, col = self.take(what, "number")
-        if not tok.isdigit():
-            raise ParseError(self.lineno, col, f"expected {what}, got {tok!r}")
-        return int(tok), col
+        tok = self.take(what, "number")
+        text = tok[0]
+        if not text.isdigit():
+            raise ParseError(self.lineno, tok.start() + 1, f"expected {what}, got {text!r}")
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            message = f"{what} {text[:24]}... is too large"
+            raise ParseError(self.lineno, tok.start() + 1, message) from None
 
     def end(self) -> None:
         if self.pos < len(self.tokens):
-            tok, col, _ = self.tokens[self.pos]
-            raise ParseError(self.lineno, col, f"unexpected trailing {tok!r}")
+            tok = self.tokens[self.pos]
+            raise ParseError(self.lineno, tok.start() + 1, f"unexpected trailing {tok[0]!r}")
+
+    def _expected(self, expect: str) -> ParseError:
+        """The error for a next token that is not ``expect``, or is missing."""
+        if self.pos == len(self.tokens):
+            column = self.tokens[-1].end() + 1
+            return ParseError(self.lineno, column, f"expected {expect}, got end of line")
+        tok = self.tokens[self.pos]
+        return ParseError(self.lineno, tok.start() + 1, f"expected {expect}, got {tok[0]!r}")
 
 
 def _statements(source: str):
     """A ``_Line`` for each line of ``source`` that holds a token."""
-    lines = (_Line(number, raw) for number, raw in enumerate(source.splitlines(), start=1))
-    return (line for line in lines if line.tokens)
+    for number, raw in enumerate(source.splitlines(), start=1):
+        tokens = list(_TOKEN_RE.finditer(raw.split("#", 1)[0]))
+        if tokens:
+            yield _Line(number, tokens)
 
 
 def parse(source: str) -> FisDocument:
@@ -173,47 +186,48 @@ def parse(source: str) -> FisDocument:
     current_var: VarDecl | None = None
     saw_directive = False
     for line in _statements(source):
-        word, col = line.keyword("variable", "mf", "rule", "set")
+        word = line.keyword("variable", "mf", "rule", "set")
+        col = line.tokens[0].start() + 1
         if word == "variable":
-            kind, _ = line.keyword("input", "output")
-            name, ncol = line.take("a variable name", "name")
+            kind = line.keyword("input", "output")
+            name = line.take("a variable name", "name")
             unit = ""
             if line.pos < len(line.tokens) and line.tokens[line.pos][0] == "[":
                 line.keyword("[")
-                unit, _ = line.take("a unit", "name")
+                unit = line.take("a unit", "name")[0]
                 line.keyword("]")
             line.keyword("domain")
-            lo, _ = line.number("the domain lower bound")
-            hi, _ = line.number("the domain upper bound")
+            lo = line.number("the domain lower bound")
+            hi = line.number("the domain upper bound")
             line.end()
-            current_var = VarDecl(line.lineno, ncol, kind, name, unit, lo, hi)
+            current_var = VarDecl(line.lineno, name.start() + 1, kind, name[0], unit, lo, hi)
             doc.variables.append(current_var)
         elif word == "mf":
             if current_var is None:
                 raise ParseError(line.lineno, col, "mf declaration before any variable")
-            term, tcol = line.take("a term name", "name")
+            term = line.take("a term name", "name")
             line.keyword("trap")
-            points = tuple(line.number("a breakpoint")[0] for _ in range(4))
+            points = tuple(line.number("a breakpoint") for _ in range(4))
             line.end()
-            current_var.mfs.append(MfDecl(line.lineno, tcol, term, points))
+            current_var.mfs.append(MfDecl(line.lineno, term.start() + 1, term[0], points))
         elif word == "rule":
             line.keyword("IF")
             clauses = []
             while True:
-                var, vcol = line.take("a variable name", "name")
+                var = line.take("a variable name", "name")
                 line.keyword("IS")
-                term, _ = line.take("a term name", "name")
-                clauses.append(ClauseStmt(line.lineno, vcol, var, term))
-                if line.keyword("AND", "THEN")[0] == "THEN":
+                term = line.take("a term name", "name")[0]
+                clauses.append(ClauseStmt(line.lineno, var.start() + 1, var[0], term))
+                if line.keyword("AND", "THEN") == "THEN":
                     break
-            output, _ = line.take("the output variable name", "name")
+            output = line.take("the output variable name", "name")[0]
             line.keyword("=")
-            value, _ = line.number("the consequent value")
+            value = line.number("the consequent value")
             line.end()
             doc.rules.append(RuleStmt(line.lineno, col, clauses, output, value))
         else:
             line.keyword("and_operator")
-            op, _ = line.keyword("min", "product")
+            op = line.keyword("min", "product")
             line.end()
             if saw_directive:
                 raise ParseError(line.lineno, col, "duplicate and_operator directive")

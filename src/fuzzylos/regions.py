@@ -162,29 +162,31 @@ def parse_regions(source: str) -> LosRegionModel:
         lanes 3
         region 1 flow 0 1500 speed 50 80
 
-    ``lanes`` may appear at most once.  A syntax error or a second ``lanes``
-    starts with "line N, column C: ".  Every other error that
-    concerns one statement, the model's own checks included, starts with
-    that statement's "line N: ".
+    ``lanes`` may appear at most once.  A syntax error, a count with more
+    digits than ``int`` converts, or a second ``lanes`` starts with
+    "line N, column C: ".  Every other error that concerns one statement,
+    the model's own checks included, starts with that statement's
+    "line N: ".
     """
     lanes = 1
     regions: list[tuple[int, Rect]] = []
     lines: dict[Location, int] = {}  # model location -> line number
     for line in _statements(source):
         try:
-            statement, column = line.keyword("lanes", "region")
+            statement = line.keyword("lanes", "region")
             if statement == "lanes":
-                lanes, _ = line.count("the lane count")
+                lanes = line.count("the lane count")
                 line.end()
                 if ("lanes",) in lines:
+                    column = line.tokens[0].start() + 1
                     raise ParseError(line.lineno, column, "duplicate lanes statement")
                 lines[("lanes",)] = line.lineno
                 continue
-            level, _ = line.count("the level")
+            level = line.count("the level")
             line.keyword("flow")
-            flow = line.number("a flow bound")[0], line.number("a flow bound")[0]
+            flow = line.number("a flow bound"), line.number("a flow bound")
             line.keyword("speed")
-            speed = line.number("a speed bound")[0], line.number("a speed bound")[0]
+            speed = line.number("a speed bound"), line.number("a speed bound")
             line.end()
             regions.append((level, Rect(*flow, *speed)))
         except ParseError as exc:

@@ -4,11 +4,15 @@ For every (flow term, speed term) pair the generator takes an even grid of
 samples over the pair's half-cut core, the sub-rectangle where both
 membership degrees are at least 0.5, and counts the samples each of the
 model's boxes holds: a product of per-axis counts, since the boxes are
-disjoint products of half-open intervals.  Pairs with no labeled sample
-produce no rule and stay anomaly zones; pairs whose labeled samples agree on
-one level (up to the agreement threshold) produce a rule with that level as
-the constant consequent; anything worse is a hard conflict, the sign of
-membership functions that do not fit the regions.
+disjoint products of half-open intervals.  A per-axis count is the
+difference of two sample indices, each estimated from the grid formula and
+kept if the samples beside it bracket the edge, else found by binary
+search: O(1) sample evaluations per edge in the common case, O(log grid) at
+worst, and no list of samples.  Pairs with no labeled sample produce no rule
+and stay anomaly zones; pairs whose labeled samples agree on one level (up
+to the agreement threshold) produce a rule with that level as the constant
+consequent; anything worse is a hard conflict, the sign of membership
+functions that do not fit the regions.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import partial
+from math import ceil
 
 from .engine import FuzzyVariable, Rule, TrapezoidMF, grid_value
 from .regions import LosRegionModel
@@ -42,16 +47,34 @@ def half_cut(mf: TrapezoidMF) -> tuple[float, float]:
 
 def _axis_counts(mf: TrapezoidMF, intervals: list[tuple[float, float]], grid: int) -> list[int]:
     """Per [lo, hi) interval, how many of the term's ``grid`` core samples it
-    holds, found by binary search.  A point core is a one-sample grid, whose
-    only sample ``grid_value`` returns as the point itself."""
+    holds: the difference of its edges' ``bisect_left`` indices among the
+    samples.  A point core is a one-sample grid, whose only sample
+    ``grid_value`` returns as the point itself.
+
+    Each index is first estimated from the grid formula and kept if the
+    samples on either side bracket the edge, which on a rising grid defines
+    ``bisect_left``'s answer; otherwise it is searched for.  So an edge costs
+    two sample evaluations in the common case and O(log grid) at worst."""
     core_lo, core_hi = half_cut(mf)
     steps = 1 if core_lo == core_hi else grid
     samples = range(steps)
     key = partial(grid_value, core_lo, core_hi, steps)
-    return [
-        bisect_left(samples, hi, key=key) - bisect_left(samples, lo, key=key)
-        for lo, hi in intervals
-    ]
+    # Each rounding step of the formula is monotone in the index, so the
+    # samples rise unless the last but one rounds past the last.  The
+    # estimate reads steps - 1 as a float, exact up to 2**53; a finer grid
+    # is searched for.
+    rising = 1 < steps <= 2**53 and key(steps - 2) <= core_hi
+    scale = (steps - 1) / (core_hi - core_lo) if rising else 0.0
+
+    def index(x: float) -> int:
+        if rising:
+            t = (x - core_lo) * scale
+            k = ceil(t) if 0.0 < t < steps else (steps if t >= steps else 0)
+            if (k == 0 or key(k - 1) < x) and (k == steps or key(k) >= x):
+                return k
+        return bisect_left(samples, x, key=key)
+
+    return [index(hi) - index(lo) for lo, hi in intervals]
 
 
 def generate_rules(
@@ -66,10 +89,12 @@ def generate_rules(
     ``grid``, an int of at least 2 (ValueError otherwise), is the number of
     sample points per axis across each pair's core; the core endpoints are
     always sampled, and a point core is one sample.  The level counts equal
-    asking the region oracle at every sample, but take O(terms * rectangles
-    * log grid) time.  ``agreement`` must lie in (0.5, 1]: the majority level
-    must account for at least that fraction of the labeled samples,
-    otherwise RuleConflictError names the pair.
+    asking the region oracle at every sample, but take O(terms * rectangles)
+    sample evaluations in the common case and O(terms * rectangles * log
+    grid) at worst, in memory that does not grow with ``grid``.
+    ``agreement`` must lie in (0.5, 1]: the majority level must account for
+    at least that fraction of the labeled samples, otherwise
+    RuleConflictError names the pair.
 
     The rule order is flow terms outer, speed terms inner, both in
     declaration order.

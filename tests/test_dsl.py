@@ -75,22 +75,31 @@ def test_syntax_error_carries_line_and_column():
     assert (info.value.line, info.value.column) == (1, 27)
 
 
-@pytest.mark.parametrize("source, message", [
-    ("variable input X domain 0 10\n  foo bar\n",
+READERS = {"fis": (parse, ParseError), "los": (fz.parse_regions, fz.RegionError)}
+
+
+@pytest.mark.parametrize("kind, source, message", [
+    ("fis", "variable input X domain 0 10\n  foo bar\n",
      "line 2, column 3: expected 'variable', 'mf', 'rule' or 'set', got 'foo'"),
-    ("  mf a trap 0 1 2 3\n", "line 1, column 3: mf declaration before any variable"),
-    ("set and_operator min\n  set and_operator product\n",
+    ("fis", "  mf a trap 0 1 2 3\n", "line 1, column 3: mf declaration before any variable"),
+    ("fis", "set and_operator min\n  set and_operator product\n",
      "line 2, column 3: duplicate and_operator directive"),
-    ("variable input X domain 0 10\n  rule\n", "line 2, column 7: expected 'IF', got end of line"),
-    ("variable input X [a b domain 0 1\n", "line 1, column 21: expected ']', got 'b'"),
-    ("variable input 5 domain 0 1\n", "line 1, column 16: expected a variable name, got '5'"),
-    ("variable input X domain 0 " + "9" * 400 + "\n",
+    ("fis", "variable input X domain 0 10\n  rule\n",
+     "line 2, column 7: expected 'IF', got end of line"),
+    ("fis", "variable input X [a b domain 0 1\n", "line 1, column 21: expected ']', got 'b'"),
+    ("fis", "variable input 5 domain 0 1\n",
+     "line 1, column 16: expected a variable name, got '5'"),
+    ("fis", "variable input X domain 0 " + "9" * 400 + "\n",
      "line 1, column 27: number " + "9" * 24 + "... is too large"),
+    # more digits than int() converts by default
+    ("los", "lanes " + "9" * 5000 + "\n",
+     "line 1, column 7: the lane count " + "9" * 24 + "... is too large"),
 ], ids=["unknown", "mf-first", "duplicate-set", "bare-rule", "unclosed-unit", "numeric-name",
-        "huge-number"])
-def test_statement_head_errors(source, message):
-    with pytest.raises(ParseError) as info:
-        parse(source)
+        "huge-number", "huge-count"])
+def test_statement_head_errors(kind, source, message):
+    read, error = READERS[kind]
+    with pytest.raises(error) as info:
+        read(source)
     assert str(info.value) == message
 
 

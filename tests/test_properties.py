@@ -26,14 +26,19 @@ some rectangle widened by 20 along one axis, with at most its 2% share of
 points outside every rectangle, or name the cause when every rectangle's area
 underflows to 0.
 ``generate_rules``, which counts core samples per axis, must give the rules
-or the conflict that asking the region oracle at every sample gives.
+or the conflict that asking the region oracle at every sample gives, and
+each edge index it finds from the grid formula must be the one a binary
+search over the samples finds, on cores far from zero whose samples repeat,
+at grids up to 60 and at 10**8.
 ``build_fis`` must turn any parseable ``.fis`` text into a system or into
 positioned errors, and nothing else, and ``serialize`` must write a term
 name exactly when the reader reads it back as that name.
 """
 
+import bisect
 import csv
 import dataclasses
+import functools
 import io
 import math
 import random
@@ -48,6 +53,7 @@ from hypothesis import strategies as st
 import fuzzylos as fz
 from fuzzylos.engine import grid_value
 from fuzzylos.regions import classifier
+from fuzzylos.rulegen import _axis_counts, half_cut
 from helpers import brute_force_raw, cell_points, quantity_refusal, random_fis, sampled_rules
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -362,6 +368,28 @@ def test_generate_rules_matches_per_sample_oracle(model, flow_var, speed_var, gr
         )
         return
     assert fz.generate_rules(model, flow_var, speed_var, grid, agreement) == expected
+
+
+@PROPERTY_SETTINGS
+@given(
+    offset=st.sampled_from([0.0, -3.5, 1e6, -1e12, 1e15, 2.0**53 - 1, -1e16, 1e16]),
+    width=st.floats(min_value=0.0, max_value=300.0),
+    grid=st.one_of(st.integers(min_value=2, max_value=60), st.just(10**8)),
+    picks=st.lists(st.integers(min_value=0, max_value=10**8 - 1), min_size=1, max_size=6),
+)
+def test_axis_counts_equal_the_keyed_bisect(offset, width, grid, picks):
+    # far from zero the samples repeat, so an index estimated from the grid
+    # formula is often not the first sample at or above the edge
+    mf = fz.TrapezoidMF(offset, offset, offset + width, offset + width)
+    core_lo, core_hi = half_cut(mf)
+    steps = 1 if core_lo == core_hi else grid
+    key = functools.partial(grid_value, core_lo, core_hi, steps)
+    edges = [core_lo - width, core_hi + width, -math.inf, math.inf]
+    for pick in picks:
+        sample = key(pick % steps)
+        edges += [sample, math.nextafter(sample, -math.inf), math.nextafter(sample, math.inf)]
+    expected = [bisect.bisect_left(range(steps), x, key=key) for x in edges]
+    assert _axis_counts(mf, [(-math.inf, x) for x in edges], grid) == expected
 
 
 timestamps = st.text(

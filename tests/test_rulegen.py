@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 
 import fuzzylos as fz
@@ -9,7 +12,8 @@ from fuzzylos import (
     TrapezoidMF,
     generate_rules,
 )
-from fuzzylos.rulegen import half_cut
+from fuzzylos.engine import grid_value
+from fuzzylos.rulegen import _axis_counts, half_cut
 
 
 def test_half_cut():
@@ -100,3 +104,24 @@ def test_parameter_validation(default_model, default_fis):
         generate_rules(default_model, flow_var, speed_var, grid=1)
     with pytest.raises(ValueError, match="at least 2"):
         generate_rules(default_model, flow_var, speed_var, grid=3.0)
+
+
+def test_a_core_narrower_than_its_grid_is_counted_without_a_sample_list():
+    # the core is one float wide, less than the ulp of its upper end, so the
+    # 10**8 samples repeat its two ends and every edge index is searched for
+    lo, hi = 2.0**53 - 1, 2.0**53
+    start = time.perf_counter()
+    counts = _axis_counts(TrapezoidMF(lo, lo, hi, hi), [(0.0, hi), (hi, 2.0**54)], 10**8)
+    assert time.perf_counter() - start < 0.5
+    # sample i is lo + i / (10**8 - 1), which rounds to lo below i = 5e7 and to hi from there
+    assert counts == [50_000_000, 50_000_000]
+
+
+def test_an_edge_where_the_grid_falls_is_searched_for():
+    # at this grid the last sample but one rounds past the last, the core's
+    # upper end; an edge between the two is bracketed both before the last
+    # but one and at the end of the grid, and the binary search finds the end
+    lo, hi, grid = -7.666244601364867, -1.9220641312190268, 9007199254642480
+    edge = -1.9220641312190265
+    assert hi < edge <= grid_value(lo, hi, grid, grid - 2)
+    assert _axis_counts(TrapezoidMF(lo, lo, hi, hi), [(-math.inf, edge)], grid) == [grid]
