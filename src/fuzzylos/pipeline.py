@@ -315,43 +315,50 @@ def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
     Each speed and each flow is fuzzified once, domain check and cell lookup
     included.  A run is a stretch of consecutive grid values with equal
     ``_cell_degrees``, cell and degrees; the grids ascend, so equal keys are
-    adjacent, and so are the runs of one flow cell.  When the flow cell
-    changes, each speed run's record is read once: a decided tuple's tails,
-    speed and raw text, are formatted then, as they hold for every flow in
-    the cell.  Per pair of flow run and undecided speed run the kernel
-    ``infer`` uses, a pure function of its inputs, runs once, and the raw
-    value is formatted once; degrees are never NaN or -0.0, so equal keys
-    are identical inputs and each value is bit-identical to ``infer``.
+    adjacent, and so are the runs of one cell.  Once per flow cell each speed
+    cell's record is read; a decided pair's tails, speed and raw text, are
+    built once per speed cell and raw ``repr`` (0.0 == -0.0) and shared by
+    every flow cell giving that text.  Per pair of flow run and undecided
+    speed run the kernel ``infer`` uses, a pure function of its inputs, runs
+    once, and the raw value is formatted once; degrees are never NaN or
+    -0.0, so equal keys are identical inputs and each value is bit-identical
+    to ``infer``.
     """
     if not all(type(steps) is int and steps >= 2 for steps in (flow_steps, speed_steps)):
         raise ValueError("surface export needs at least 2 steps per axis")
     flow_var, speed_var = los_inputs(fis)
     fis.check_rules()
     speeds = (grid_value(*speed_var.domain, speed_steps, j) for j in range(speed_steps))
-    speed_runs = [
-        (key, [f",{speed!r}," for speed in run])
-        for key, run in groupby(speeds, speed_var._cell_degrees)
-    ]
+    speed_cells: dict[int, list] = {}  # cell: its runs' degrees and speed texts
+    for (speed_cell, degrees), run in groupby(speeds, speed_var._cell_degrees):
+        speed_cells.setdefault(speed_cell, []).append((degrees, [f",{speed!r}," for speed in run]))
     record, fire = fis._record, fis._fire
     flows = (grid_value(*flow_var.domain, flow_steps, i) for i in range(flow_steps))
     lines = ["flow_vph,speed_kmh,raw_los"]
-    cell = None
+    cell, shared = None, {}
     for (flow_cell, flow_degrees), run in groupby(flows, flow_var._cell_degrees):
         if flow_cell != cell:
             # per undecided speed run: the decided tails before it, then what firing it needs
             cell, undecided, decided_tails = flow_cell, [], []
-            for (speed_cell, degrees), speed_texts in speed_runs:
+            for speed_cell, speed_runs in speed_cells.items():
                 candidates, decided = record((flow_cell, speed_cell))
                 if decided:
-                    decided_tails += [speed_text + repr(decided[0]) for speed_text in speed_texts]
-                else:
-                    undecided.append((decided_tails, candidates, degrees, speed_texts))
+                    key = speed_cell, repr(decided[0])  # the raw's text, as 0.0 == -0.0
+                    if key not in shared:
+                        shared[key] = [t + key[1] for _, texts in speed_runs for t in texts]
+                    decided_tails += shared[key]
+                    continue
+                for degrees, texts in speed_runs:
+                    undecided.append((decided_tails, candidates, degrees, texts))
                     decided_tails = []
         tails = []
-        for before, candidates, degrees, speed_texts in undecided:
+        for before, candidates, degrees, texts in undecided:
             tails += before
             raw_text = repr(fire(candidates, (flow_degrees, degrees))[0])
-            tails += [speed_text + raw_text for speed_text in speed_texts]
+            if len(texts) == 1:
+                tails.append(texts[0] + raw_text)
+            else:
+                tails += [speed_text + raw_text for speed_text in texts]
         tails += decided_tails
         for flow in run:
             flow_text = repr(flow)

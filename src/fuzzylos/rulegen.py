@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import partial
-from math import ceil
+from math import ceil, inf
 
 from .engine import FuzzyVariable, Rule, TrapezoidMF, grid_value
 from .regions import LosRegionModel
@@ -40,9 +40,15 @@ class RuleConflictError(ValueError):
         )
 
 
+def _midpoint(p: float, q: float) -> float:
+    """``(p + q) / 2``, or ``p / 2 + q / 2`` where the sum overflows."""
+    mid = (p + q) / 2.0
+    return mid if -inf < mid < inf else p / 2.0 + q / 2.0
+
+
 def half_cut(mf: TrapezoidMF) -> tuple[float, float]:
     """The closed interval where the membership degree is >= 0.5."""
-    return ((mf.a + mf.b) / 2.0, (mf.c + mf.d) / 2.0)
+    return _midpoint(mf.a, mf.b), _midpoint(mf.c, mf.d)
 
 
 def _axis_counts(mf: TrapezoidMF, intervals: list[tuple[float, float]], grid: int) -> list[int]:

@@ -624,3 +624,25 @@ def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_model):
     assert (flow_runs, speed_runs) == (46, 61)
     export_surface(fis, 100, 100)
     assert count(lambda: export_surface(fis, 100, 100)) == 1146 < flow_runs * speed_runs
+
+
+def test_a_surface_reads_each_cell_pairs_record_once_per_flow_cell(monkeypatch):
+    # Once the memo is warm, a dense export reads one record per pair of
+    # flow cell and speed cell, not one per speed run (1,342 here).
+    fis = parse_fis(default_fis_text())
+    export_surface(fis, 100, 100)
+    reads = []
+    record = SugenoFis._record
+
+    def counting_record(self, cells):
+        reads.append(cells)
+        return record(self, cells)
+
+    monkeypatch.setattr(SugenoFis, "_record", counting_record)
+    export_surface(fis, 100, 100)
+    flow_cells, speed_cells = (
+        len({var._locate(grid_value(*var.domain, 100, i)) for i in range(100)})
+        for var in fis.inputs
+    )
+    assert (flow_cells, speed_cells) == (22, 17)
+    assert len(reads) == len(set(reads)) == flow_cells * speed_cells == 374

@@ -19,6 +19,20 @@ from fuzzylos.rulegen import _axis_counts, half_cut
 def test_half_cut():
     assert half_cut(TrapezoidMF(0, 10, 20, 30)) == (5.0, 25.0)
     assert half_cut(TrapezoidMF(0, 0, 8, 16)) == (0.0, 12.0)
+    # a + b overflows to inf here, so each end is halved before adding
+    assert half_cut(TrapezoidMF(1.5e308, 1.5e308, 1.6e308, 1.6e308)) == (1.5e308, 1.6e308)
+    assert half_cut(TrapezoidMF(-1.6e308, -1.6e308, -1.5e308, -1.5e308)) == (-1.6e308, -1.5e308)
+
+
+def test_a_core_near_the_float_maximum_is_not_lost_to_overflow():
+    # the one rectangle holds the term's whole core, so the pair gets a rule
+    huge = TrapezoidMF(1.5e308, 1.5e308, 1.6e308, 1.6e308)
+    flow_var = FuzzyVariable("F", "", (0.0, 1.7e308), (("huge", huge),))
+    speed_var = FuzzyVariable("S", "", (0.0, 10.0), (("all", TrapezoidMF(0, 0, 10, 10)),))
+    model = LosRegionModel(regions=((1, Rect(0.0, 1.7e308, 0.0, 10.0)),))
+    assert generate_rules(model, flow_var, speed_var) == (
+        fz.Rule((("F", "huge"), ("S", "all")), 1.0),
+    )
 
 
 def test_default_calibration_emits_exactly_27_rules(default_model, default_fis):
