@@ -10,9 +10,10 @@ A SugenoFis compiles its rule base once, at construction, into
 (input index, term index) clauses.  Each input's domain is cut at its ends and
 at every term's breakpoints ``a``, ``b``, ``c`` and ``d``; each cut is a point
 cell and each span between neighbouring cuts an open cell.  A cell holds its
-terms' constant degrees and the ramps to evaluate.  A term is active in a cell
-when it is positive there, and a rule is a candidate for a tuple of cells when
-every clause names an active term: exactly the rules that can fire there.
+terms' constant degrees and the ramps to evaluate.  A rule is a candidate for a
+tuple of cells when every clause names a term positive at one of its cell's two
+floats next to a cut, where its degree peaks: exactly the rules that can fire
+there.
 Both tables are built lazily, on the first inference, so a system that is
 only parsed, serialized or replaced pays nothing for them.  Inference locates
 each input's cell, in ``FuzzyVariable._locate``, which owns the domain check,
@@ -62,7 +63,8 @@ class OutOfDomainError(ValueError):
 
 @dataclass(frozen=True)
 class TrapezoidMF:
-    """Trapezoidal membership function with finite breakpoints a <= b <= c <= d.
+    """Trapezoidal membership function with finite breakpoints a <= b <= c <= d
+    and a finite width d - a.
 
     The function is 0 outside [a, d], 1 on the plateau [b, c] and linear on
     the ramps.  b == c gives a triangle; a == b or c == d gives a vertical
@@ -84,6 +86,8 @@ class TrapezoidMF:
                 f"trapezoid breakpoints must satisfy a <= b <= c <= d, "
                 f"got ({self.a}, {self.b}, {self.c}, {self.d})"
             )
+        if self.d - self.a == math.inf:
+            raise FisConfigError(f"trapezoid width d - a is beyond the float range, got {points}")
 
     def degree(self, x: float) -> float:
         """Membership degree of x, in [0, 1].  Total: never raises."""
@@ -99,15 +103,20 @@ class TrapezoidMF:
 def grid_value(lo: float, hi: float, steps: int, index: int) -> float:
     """Sample ``index`` of the inclusive even grid of ``steps`` values over
     [lo, hi]: ``lo + (hi - lo) * index / (steps - 1)``, except that the last
-    sample is ``hi`` itself, which the formula can round past."""
+    sample is ``hi`` itself, which the formula can round past.  Where
+    ``(hi - lo) * index`` overflows, for a finite span, the sample is
+    ``lo + (hi - lo) / (steps - 1) * index``, finite and, as long as the
+    step outweighs the rounding, still rising with ``index``."""
     if index == steps - 1:
         return hi
-    return lo + (hi - lo) * index / (steps - 1)
+    value = lo + (hi - lo) * index / (steps - 1)
+    return value if value < math.inf else lo + (hi - lo) / (steps - 1) * index
 
 
 @dataclass(frozen=True)
 class FuzzyVariable:
-    """A named input with a finite closed domain and ordered linguistic terms.
+    """A named input with a finite closed domain, whose width is finite too,
+    and ordered linguistic terms.
 
     Term supports must lie inside the domain but need not cover it: the
     uncovered zones are exactly where no rule can fire.  Construction raises
@@ -123,12 +132,13 @@ class FuzzyVariable:
     def __post_init__(self) -> None:
         problems: list[tuple[Location, str]] = []
         lo, hi = self.domain
+        domain = f"variable {self.name!r}: domain [{lo}, {hi}]"
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            problems.append(
-                (("domain",), f"variable {self.name!r}: domain [{lo}, {hi}] must be finite")
-            )
+            problems.append((("domain",), f"{domain} must be finite"))
         elif not lo < hi:
-            problems.append((("domain",), f"variable {self.name!r}: domain [{lo}, {hi}] is empty"))
+            problems.append((("domain",), f"{domain} is empty"))
+        elif hi - lo == math.inf:
+            problems.append((("domain",), f"{domain} is wider than the float range"))
         seen = set()
         for j, (term_name, mf) in enumerate(self.terms):
             if term_name in seen:
@@ -179,8 +189,7 @@ class FuzzyVariable:
         plateau, or strictly inside a ramp ``(j, p, q)`` of degree ``(x - p) /
         q``: ``p = a, q = b - a`` rising, ``p = d, q = c - d`` falling, which is
         ``TrapezoidMF.degree`` bit for bit, as negating both operands of a
-        division is exact.  A term is active, positive throughout its cell, if
-        its constant is positive or it is on a ramp."""
+        division is exact.  Only ``_fill`` reads the cells' layout."""
         lo, hi = self.domain
         terms = list(enumerate(mf for _, mf in self.terms))
         cuts = sorted({lo, hi, *(p for _, mf in terms for p in (mf.a, mf.b, mf.c, mf.d))})
@@ -311,34 +320,35 @@ class SugenoFis:
 
     def _record(self, cells: tuple[int, ...]) -> tuple[tuple, tuple[float, int] | None]:
         """The memo's ``(candidates, decided)`` for the cells ``_locate`` gave,
-        one per input, built on first use.  The candidates are the compiled
-        rules, in rule order, whose every clause names a term active in its
-        input's cell (a rule without a clause on an input passes on it):
-        exactly the rules that can fire there.  ``decided`` is the kernel's
-        result at each term's floor, its lesser degree at the cell's two
-        floats next to a cut, or None.  It is kept only if every candidate
-        fires at the floors, and so everywhere in the cells, as ramps,
-        rounding and the AND are monotone; and if the candidates share one
-        consequent (by ``repr``, so 0.0 and -0.0 stay apart), which the clamp
-        then returns, or no candidate reads a ramp."""
+        one per input, built on first use from each input's ``_fill`` at its
+        cell's two floats next to a cut (a point cell's cut twice).  Degrees
+        are monotone in x across a cell, rounding included, so a term's lesser
+        and greater degree there, its floor and its peak, bound it throughout
+        the cell, and it is constant there when they are equal.  The
+        candidates are the compiled rules, in rule order, whose every clause
+        names a term with a positive peak (a rule without a clause on an input
+        passes on it): exactly the rules that can fire there.  ``decided`` is
+        the kernel's result at the floors, or None.  It is kept only if every
+        candidate fires at the floors, and so everywhere in the cells, as the
+        AND is monotone; and if the candidates share one consequent (by
+        ``repr``, so 0.0 and -0.0 stay apart), which the clamp then returns,
+        or every degree a candidate reads has its floor equal to its peak."""
         record = self._records.get(cells)
         if record is None:
-            pieces = [var._cells[1][cell] for var, cell in zip(self.inputs, cells)]
-            ramped = [{j for j, _, _ in ramps} for _, ramps in pieces]
-            active = [ramped[i].union(j for j, d in enumerate(row) if d > 0.0)
-                      for i, (row, _) in enumerate(pieces)]
-            candidates = tuple(
-                rule for rule in self._compiled if all(j in active[i] for i, j in rule[0])
-            )
-            floors = []
+            floors, peaks = [], []  # per input, each term's lesser and greater end degree
             for var, cell in zip(self.inputs, cells):
-                ends = var._cells[0][cell // 2], var._cells[0][(cell + 1) // 2]
-                floors.append(list(map(min, var._fill(cell, math.nextafter(*ends)),
-                                       var._fill(cell, math.nextafter(*ends[::-1])))))
+                left, right = var._cells[0][cell // 2], var._cells[0][(cell + 1) // 2]
+                ends = (var._fill(cell, math.nextafter(left, right)),
+                        var._fill(cell, math.nextafter(right, left)))
+                floors.append(list(map(min, *ends)))
+                peaks.append(list(map(max, *ends)))
+            candidates = tuple(
+                rule for rule in self._compiled if all(peaks[i][j] > 0.0 for i, j in rule[0])
+            )
             decided = self._fire(candidates, floors)
             if decided[1] < len(candidates) or (
                 len({repr(consequent) for _, consequent in candidates}) > 1
-                and any(j in ramped[i] for clauses, _ in candidates for i, j in clauses)
+                and any(floors[i][j] != peaks[i][j] for rule in candidates for i, j in rule[0])
             ):
                 decided = None
             record = self._records[cells] = (candidates, decided)

@@ -316,13 +316,15 @@ def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
     included.  A run is a stretch of consecutive grid values with equal
     ``_cell_degrees``, cell and degrees; the grids ascend, so equal keys are
     adjacent, and so are the runs of one cell.  Once per flow cell each speed
-    cell's record is read; a decided pair's tails, speed and raw text, are
-    built once per speed cell and raw ``repr`` (0.0 == -0.0) and shared by
-    every flow cell giving that text.  Per pair of flow run and undecided
-    speed run the kernel ``infer`` uses, a pure function of its inputs, runs
-    once, and the raw value is formatted once; degrees are never NaN or
-    -0.0, so equal keys are identical inputs and each value is bit-identical
-    to ``infer``.
+    cell's record is read into a row of one entry per speed cell, in grid
+    order: a decided pair's tails, speed and raw text, built once per speed
+    cell and raw ``repr`` (0.0 == -0.0) and shared by every flow cell giving
+    that text; or an undecided pair's candidates and speed runs.  Each flow
+    run walks that row once.  Per undecided speed run the kernel ``infer``
+    uses, a pure function of its inputs, runs once, and the raw value is
+    formatted once for all the run's speeds; degrees are never NaN or -0.0,
+    so equal keys are identical inputs and each value is bit-identical to
+    ``infer``.
     """
     if not all(type(steps) is int and steps >= 2 for steps in (flow_steps, speed_steps)):
         raise ValueError("surface export needs at least 2 steps per axis")
@@ -338,28 +340,24 @@ def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
     cell, shared = None, {}
     for (flow_cell, flow_degrees), run in groupby(flows, flow_var._cell_degrees):
         if flow_cell != cell:
-            # per undecided speed run: the decided tails before it, then what firing it needs
-            cell, undecided, decided_tails = flow_cell, [], []
+            # per speed cell: its decided tails, or what firing its runs needs
+            cell, row = flow_cell, []
             for speed_cell, speed_runs in speed_cells.items():
                 candidates, decided = record((flow_cell, speed_cell))
                 if decided:
                     key = speed_cell, repr(decided[0])  # the raw's text, as 0.0 == -0.0
                     if key not in shared:
                         shared[key] = [t + key[1] for _, texts in speed_runs for t in texts]
-                    decided_tails += shared[key]
-                    continue
-                for degrees, texts in speed_runs:
-                    undecided.append((decided_tails, candidates, degrees, texts))
-                    decided_tails = []
+                    row.append((shared[key], None, ()))
+                else:
+                    row.append(((), candidates, speed_runs))
         tails = []
-        for before, candidates, degrees, texts in undecided:
-            tails += before
-            raw_text = repr(fire(candidates, (flow_degrees, degrees))[0])
-            if len(texts) == 1:
-                tails.append(texts[0] + raw_text)
-            else:
-                tails += [speed_text + raw_text for speed_text in texts]
-        tails += decided_tails
+        for decided_tails, candidates, speed_runs in row:
+            tails += decided_tails
+            for degrees, texts in speed_runs:
+                raw_text = repr(fire(candidates, (flow_degrees, degrees))[0])
+                for speed_text in texts:
+                    tails.append(speed_text + raw_text)
         for flow in run:
             flow_text = repr(flow)
             lines.append(flow_text + ("\n" + flow_text).join(tails))

@@ -273,6 +273,29 @@ rule IF A IS a THEN O = 1
     assert all("breakpoints" in e.message for e in errors)
 
 
+def test_widths_beyond_the_float_range_are_reported_on_their_declarations():
+    e308, e307 = "1" + "0" * 308, "0" * 307  # the grammar reads plain digits only
+    source = f"""\
+variable input A domain -{e308} {e308}
+  mf a trap 0 1 2 3
+variable input B domain 0 {e308}
+  mf b trap -1 0 1 2
+  mf c trap 0 1 2 3
+variable input C domain -17{e307} 17{e307}
+  mf w trap -17{e307} 17{e307} 17{e307} 17{e307}
+variable output O domain 0 5
+"""
+    errors = validation_errors(source)
+    assert [(e.line, e.column) for e in errors] == [(1, 16), (4, 6), (6, 16), (7, 6)]
+    assert [e.message for e in errors] == [
+        "variable 'A': domain [-1e+308, 1e+308] is wider than the float range",
+        "variable 'B': term 'b' support [-1.0, 2.0] exceeds domain [0.0, 1e+308]",
+        "variable 'C': domain [-1.7e+308, 1.7e+308] is wider than the float range",
+        "trapezoid width d - a is beyond the float range, got "
+        "(-1.7e+308, 1.7e+308, 1.7e+308, 1.7e+308)",
+    ]
+
+
 @pytest.mark.parametrize("first", ["mf a trap 0 1 2 3", "mf a trap 3 2 1 0"])
 def test_support_outside_the_domain_is_reported_on_its_mf(first):
     source = f"""\

@@ -153,7 +153,7 @@ def test_a_term_ending_on_a_cut_stays_active_in_the_next_cell():
 
 
 def test_a_ramp_that_underflows_inside_its_cell_does_not_fire():
-    # 5e-324 lies in the open cell (0, 2), where the term is active, but its
+    # 5e-324 lies in the open cell (0, 2), where the rule is a candidate, but its
     # degree (5e-324 - 0) / 2 rounds to 0.0: the kernel must skip the rule
     # rather than divide by a zero total strength.
     x = FuzzyVariable("X", "", (0.0, 4.0), (("A", TrapezoidMF(0, 2, 3, 4)),))
@@ -185,6 +185,28 @@ def test_a_tuple_whose_ramp_underflows_at_its_floor_is_not_decided(and_operator)
     assert fis._record((1,)) == (fis._compiled, None)
     assert infer(fis, {"X": 5e-324}) == InferenceResult(0.0, 0)
     assert infer(fis, {"X": 1.0}) == InferenceResult(1.0, 1)
+
+
+@pytest.mark.parametrize("and_operator", ["min", "product"])
+def test_a_term_whose_degree_underflows_throughout_its_cell_is_no_candidate(and_operator):
+    # The open cell (0, 1e-323) holds one float, 5e-324, where A's ramp
+    # (5e-324 - 0) / 10 rounds to 0.0 and B has not begun: no rule can fire
+    # there, so none is a candidate, and the cell is decided as uncovered.
+    x = FuzzyVariable(
+        "X", "", (0.0, 10.0),
+        (("A", TrapezoidMF(0, 10, 10, 10)), ("B", TrapezoidMF(1e-323, 1e-323, 10, 10))),
+    )
+    fis = SugenoFis(
+        inputs=(x,),
+        output_name="Out",
+        output_domain=(0.0, 6.0),
+        rules=(Rule((("X", "A"),), 2.0), Rule((("X", "B"),), 4.0)),
+        and_operator=and_operator,
+    )
+    cells = (x._locate(5e-324),)
+    assert cells == (1,)
+    assert len(fis._record(cells)[0]) == infer(fis, {"X": 5e-324}).fired_rule_count == 0
+    assert fis._record(cells) == ((), (0.0, 0))
 
 
 def test_a_product_that_underflows_at_the_floors_is_not_decided():
@@ -350,6 +372,34 @@ def test_domains_must_be_finite(bounds):
     assert info.value.problems == (
         (("output_domain",), f"output domain [{bounds[0]}, {bounds[1]}] must be finite"),
     )
+
+
+def test_a_domain_wider_than_the_float_range_is_refused():
+    with pytest.raises(FisConfigError) as info:
+        FuzzyVariable("v", "", (-1e308, 1e308), ())
+    assert info.value.problems == (
+        (("domain",), "variable 'v': domain [-1e+308, 1e+308] is wider than the float range"),
+    )
+    assert FuzzyVariable("v", "", (-8e307, 8e307), ()).domain == (-8e307, 8e307)
+
+
+def test_grid_value_stays_finite_where_the_formula_overflows():
+    grid = [grid_value(0.0, 1e308, 5, i) for i in range(5)]
+    assert grid == [0.0, 2.5e307, 5e307, 7.5e307, 1e308]
+    # away from the overflow, the formula's bits
+    assert [grid_value(-1.0, 3.0, 7, i) for i in range(6)] == [-1.0 + 4.0 * i / 6 for i in range(6)]
+
+
+def test_grid_value_rises_across_the_switch_from_the_formula():
+    lo, hi, steps = -5e300, 5e300, 10**8
+    switch = math.ceil(sys.float_info.max / (hi - lo))  # the first index whose product overflows
+    assert (hi - lo) * (switch - 1) < math.inf == (hi - lo) * switch
+    values = [grid_value(lo, hi, steps, i) for i in range(switch - 50, switch + 50)]
+    assert all(math.isfinite(v) for v in values)
+    assert values == sorted(values) and len(set(values)) == len(values)
+    assert values[:50] == [lo + (hi - lo) * i / (steps - 1) for i in range(switch - 50, switch)]
+    assert grid_value(lo, hi, steps, 0) == lo and grid_value(lo, hi, steps, steps - 1) == hi
+    assert lo < grid_value(lo, hi, steps, steps - 2) < hi
 
 
 def test_a_plain_config_error_is_one_problem_of_the_whole():

@@ -72,6 +72,14 @@ def test_breakpoints_must_be_finite(points):
         TrapezoidMF(*points)
 
 
+def test_a_support_wider_than_the_float_range_is_refused():
+    # d - a overflows to inf, which made degree(0.0) 0.0 and degree(1.6e308) NaN
+    with pytest.raises(FisConfigError, match="beyond the float range"):
+        TrapezoidMF(-1.7e308, 1.7e308, 1.7e308, 1.7e308)
+    wide = TrapezoidMF(-8e307, 8e307, 8e307, 8e307)
+    assert wide.degree(0.0) == 0.5
+
+
 def test_degrees_bounded_and_continuous():
     rng = random.Random(1)
     for _ in range(200):

@@ -487,6 +487,25 @@ class TestSurface:
         ]
         assert export_surface(fis, 61, 41).splitlines() == expected
 
+    def test_a_domain_whose_grid_formula_overflows_exports(self):
+        # (hi - lo) * index overflows at the third and fourth flows, which must
+        # still be finite grid values inside the domain
+        low, high = TrapezoidMF(0, 0, 2e307, 6e307), TrapezoidMF(4e307, 8e307, 1e308, 1e308)
+        flow = FuzzyVariable("Flow", "", (0.0, 1e308), (("lo", low), ("hi", high)))
+        speed = FuzzyVariable("Speed", "", (0.0, 10.0), (("all", TrapezoidMF(0, 0, 10, 10)),))
+        fis = SugenoFis(
+            inputs=(flow, speed),
+            output_name="Out",
+            output_domain=(0.0, 6.0),
+            rules=(Rule((("Flow", "lo"),), 1.0), Rule((("Flow", "hi"), ("Speed", "all")), 5.0)),
+        )
+        lines = export_surface(fis, 5, 3).splitlines()
+        flows = [float(line.split(",")[0]) for line in lines[1::3]]
+        assert flows == [0.0, 2.5e307, 5e307, 7.5e307, 1e308]
+        for line in lines[1:]:
+            x, y, _ = map(float, line.split(","))
+            assert line == f"{x!r},{y!r},{infer(fis, {'Flow': x, 'Speed': y}).raw!r}"
+
     def test_step_validation(self, default_fis):
         flow_var, speed_var = default_fis.inputs
         lanes = dataclasses.replace(speed_var, name="Lanes")

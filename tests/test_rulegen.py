@@ -35,6 +35,22 @@ def test_a_core_near_the_float_maximum_is_not_lost_to_overflow():
     )
 
 
+def test_a_core_whose_grid_formula_overflows_is_counted():
+    # (hi - lo) * index overflows at the third and fourth of the five samples,
+    # which must still land in the second interval, not at inf
+    whole = TrapezoidMF(0, 0, 1e308, 1e308)
+    intervals = [(0.0, 5e307), (5e307, math.nextafter(1e308, math.inf))]
+    assert _axis_counts(whole, intervals, 5) == [2, 3]
+    flow_var = FuzzyVariable("F", "", (0.0, 1e308), (("whole", whole),))
+    speed_var = FuzzyVariable("S", "", (0.0, 10.0), (("all", TrapezoidMF(0, 0, 10, 10)),))
+    model = LosRegionModel(
+        regions=((1, Rect(0.0, 5e307, 0.0, 10.0)), (2, Rect(5e307, 1e308, 0.0, 10.0)))
+    )
+    assert generate_rules(model, flow_var, speed_var, grid=5, agreement=0.55) == (
+        fz.Rule((("F", "whole"), ("S", "all")), 2.0),
+    )
+
+
 def test_default_calibration_emits_exactly_27_rules(default_model, default_fis):
     flow_var, speed_var = default_fis.inputs
     rules = generate_rules(default_model, flow_var, speed_var)
