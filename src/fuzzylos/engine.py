@@ -10,20 +10,21 @@ A SugenoFis compiles its rule base once, at construction, into
 (input index, term index) clauses.  Each input's domain is cut at its ends and
 at every term's breakpoints ``a``, ``b``, ``c`` and ``d``; each cut is a point
 cell and each span between neighbouring cuts an open cell.  A cell holds its
-terms' constant degrees and the ramps to evaluate.  A rule is a candidate for a
-tuple of cells when every clause names a term positive at one of its cell's two
-floats next to a cut, where its degree peaks: exactly the rules that can fire
-there.
+terms' floors and peaks, their lesser and greater degree at its two floats
+next to a cut, which bound them throughout the cell, and the ramps to
+evaluate.  A rule is a candidate for a tuple of cells when every clause names
+a term with a positive peak: exactly the rules that can fire there.
 Both tables are built lazily, on the first inference, so a system that is
 only parsed, serialized or replaced pays nothing for them.  Inference locates
 each input's cell, in ``FuzzyVariable._locate``, which owns the domain check,
-and reads the cell tuple's memo record: its candidate rules and, where the
-output cannot depend on the point, the decided output.  Only an undecided
-tuple is fuzzified, by ``_fill``, and fired, in one kernel,
-``SugenoFis._fire``, the only code that evaluates a rule; it decides each
-record too.  ``infer``, ``regions.classifier`` and ``pipeline.export_surface``
-share all of it, so a classification or a surface cell is bit-identical to
-pointwise inference.
+and reads the cell tuple's memo record, which ``SugenoFis._record`` builds
+from the cells' floors and peaks: its candidate rules and, where the output
+cannot depend on the point, the decided output.  Only an undecided tuple is
+fuzzified, by ``_fill``, which evaluates a cell's ramps over a copy of its
+floors, and fired, in one kernel, ``SugenoFis._fire``, the only code that
+evaluates a rule; it decides each record too.  ``infer``,
+``regions.classifier`` and ``pipeline.export_surface`` share all of it, so a
+classification or a surface cell is bit-identical to pointwise inference.
 """
 
 from __future__ import annotations
@@ -172,35 +173,46 @@ class FuzzyVariable:
         return 2 * i if cuts[i] == x else 2 * i - 1
 
     def _fill(self, cell: int, x: float) -> list[float]:
-        """Every term's degree at x, in ``cell``: a copy of the cell's
-        constants with its ramps evaluated at x."""
-        row, ramps = self._cells[1][cell]
-        degrees = row.copy()
+        """Every term's degree at x, in ``cell``: a copy of the cell's floors,
+        its base row, as a term outside the ramps is constant across the
+        cell, with the ramps evaluated at x.  Only a point in an undecided
+        cell tuple, and a surface's grid value, is filled; records never are."""
+        floors, ramps, _ = self._cells[1][cell]
+        degrees = floors.copy()
         for j, p, q in ramps:
             degrees[j] = (x - p) / q
         return degrees
 
     @cached_property
-    def _cells(self) -> tuple[list[float], list[tuple[list[float], list]]]:
+    def _cells(self) -> tuple[list[float], list[tuple[list[float], list, list[float]]]]:
         """The sorted cuts, the domain ends and every term's ``a``, ``b``, ``c``
-        and ``d``, and per cell its constant degrees and its ramps.  Cell 2k is
-        cut k, whose degrees are constants, a zero as 0.0 at either signed zero.
-        In the open cell 2k + 1, between cuts k and k + 1, a term is 0, 1 on its
-        plateau, or strictly inside a ramp ``(j, p, q)`` of degree ``(x - p) /
-        q``: ``p = a, q = b - a`` rising, ``p = d, q = c - d`` falling, which is
-        ``TrapezoidMF.degree`` bit for bit, as negating both operands of a
-        division is exact.  Only ``_fill`` reads the cells' layout."""
+        and ``d``, and per cell ``(floors, ramps, peaks)``: each term's lesser
+        and greater degree at the cell's two floats next to a cut, and the
+        ramps to evaluate.  Degrees are monotone in x across a cell, rounding
+        included, so a term's floor and peak bound it throughout the cell, and
+        it is constant there when they are equal.  Cell 2k is cut k, whose
+        degrees are constants, its floors and peaks one list, a zero as 0.0
+        at either signed zero.  In the open cell 2k + 1, between cuts k and
+        k + 1, a term is 0, 1 on its plateau, or strictly inside a ramp ``(j,
+        p, q)`` of degree ``(x - p) / q``: ``p = a, q = b - a`` rising, ``p =
+        d, q = c - d`` falling, which is ``TrapezoidMF.degree`` bit for bit,
+        as negating both operands of a division is exact.  ``_fill`` copies
+        the floors and evaluates the ramps; ``SugenoFis._record`` reads the
+        floors and peaks.  Only these two read a cell."""
         lo, hi = self.domain
         terms = list(enumerate(mf for _, mf in self.terms))
         cuts = sorted({lo, hi, *(p for _, mf in terms for p in (mf.a, mf.b, mf.c, mf.d))})
-        cells = []
-        for left, right in zip(cuts, cuts[1:]):
-            cells.append(([mf.degree(left) or 0.0 for _, mf in terms], []))
+        points = [[mf.degree(cut) or 0.0 for _, mf in terms] for cut in cuts]
+        cells = [(points[0], [], points[0])]
+        for left, right, point in zip(cuts, cuts[1:], points[1:]):
             ramps = [(j, mf.a, mf.b - mf.a) for j, mf in terms if mf.a <= left and right <= mf.b]
             ramps += [(j, mf.d, mf.c - mf.d) for j, mf in terms if mf.c <= left and right <= mf.d]
-            plateau = [1.0 if mf.b <= left and right <= mf.c else 0.0 for _, mf in terms]
-            cells.append((plateau, ramps))
-        cells.append(([mf.degree(hi) or 0.0 for _, mf in terms], []))
+            floors = [1.0 if mf.b <= left and right <= mf.c else 0.0 for _, mf in terms]
+            peaks = floors.copy()
+            ends = math.nextafter(left, right), math.nextafter(right, left)
+            for j, p, q in ramps:
+                floors[j], peaks[j] = sorted((x - p) / q for x in ends)
+            cells += [(floors, ramps, peaks), (point, [], point)]
         return cuts, cells
 
 
@@ -239,8 +251,10 @@ class SugenoFis:
 
     Immutable after construction.  ``and_operator`` is "min" (default) or
     "product".  Construction raises one FisConfigError with every violation
-    it finds (a consequent is checked only against a non-empty output domain)
-    and compiles each rule to ``(((input index, term index), ...),
+    it finds (a consequent is checked only against a non-empty output domain;
+    in a finite one, the first rule at which the consequents' magnitudes sum
+    past the largest float is refused too, as the kernel's sums could then
+    overflow) and compiles each rule to ``(((input index, term index), ...),
     consequent)`` for the inference kernel; ``dataclasses.replace`` builds,
     and so compiles, a new system.  The candidate memo is filled by
     inference.  A system without rules is valid (rule generation starts
@@ -285,6 +299,12 @@ class SugenoFis:
 
         first_rule: dict[frozenset, int] = {}
         compiled = []
+        # The largest float less the magnitudes of the consequents checked so
+        # far, each truncated to an integer and subtracted exactly: while it
+        # is not negative, neither of the kernel's fsums can overflow, as a
+        # sum rounds to inf only 2**970 past the largest float, far more than
+        # the fractions dropped.
+        room = 2**1024 - 2**971 if -math.inf < lo < hi < math.inf else -1
         for k, rule in enumerate(self.rules):
             clause_vars = set()
             clauses = []
@@ -305,6 +325,10 @@ class SugenoFis:
                     ("rules", k),
                     f"consequent {rule.consequent} outside output domain [{lo}, {hi}]",
                 ))
+            elif room >= 0 > (room := room - int(abs(rule.consequent))):
+                problems.append((
+                    ("rules", k), "consequent magnitudes up to this rule sum past the float range"
+                ))
             first = first_rule.setdefault(frozenset(rule.antecedent), k)
             if first != k:
                 problems.append((("rules", k), f"rule repeats the antecedent of rule {first + 1}"))
@@ -320,31 +344,21 @@ class SugenoFis:
 
     def _record(self, cells: tuple[int, ...]) -> tuple[tuple, tuple[float, int] | None]:
         """The memo's ``(candidates, decided)`` for the cells ``_locate`` gave,
-        one per input, built on first use from each input's ``_fill`` at its
-        cell's two floats next to a cut (a point cell's cut twice).  Degrees
-        are monotone in x across a cell, rounding included, so a term's lesser
-        and greater degree there, its floor and its peak, bound it throughout
-        the cell, and it is constant there when they are equal.  The
-        candidates are the compiled rules, in rule order, whose every clause
-        names a term with a positive peak (a rule without a clause on an input
-        passes on it): exactly the rules that can fire there.  ``decided`` is
-        the kernel's result at the floors, or None.  It is kept only if every
-        candidate fires at the floors, and so everywhere in the cells, as the
-        AND is monotone; and if the candidates share one consequent (by
-        ``repr``, so 0.0 and -0.0 stay apart), which the clamp then returns,
-        or every degree a candidate reads has its floor equal to its peak."""
+        one per input, built on first use from the floors and peaks of each
+        input's cell in its ``_cells``.  The candidates are the compiled
+        rules, in rule order, whose every clause names a term with a positive
+        peak (a rule without a clause on an input passes on it): exactly the
+        rules that can fire there.  ``decided`` is the kernel's result at the
+        floors, or None.  It is kept only if every candidate fires at the
+        floors, and so everywhere in the cells, as the AND is monotone; and if
+        the candidates share one consequent (by ``repr``, so 0.0 and -0.0 stay
+        apart), which the clamp then returns, or every degree a candidate
+        reads has its floor equal to its peak."""
         record = self._records.get(cells)
         if record is None:
-            floors, peaks = [], []  # per input, each term's lesser and greater end degree
-            for var, cell in zip(self.inputs, cells):
-                left, right = var._cells[0][cell // 2], var._cells[0][(cell + 1) // 2]
-                ends = (var._fill(cell, math.nextafter(left, right)),
-                        var._fill(cell, math.nextafter(right, left)))
-                floors.append(list(map(min, *ends)))
-                peaks.append(list(map(max, *ends)))
-            candidates = tuple(
-                rule for rule in self._compiled if all(peaks[i][j] > 0.0 for i, j in rule[0])
-            )
+            floors, _, peaks = zip(*(var._cells[1][cell] for var, cell in zip(self.inputs, cells)))
+            active = {(i, j) for i, row in enumerate(peaks) for j, p in enumerate(row) if p > 0.0}
+            candidates = tuple(rule for rule in self._compiled if active.issuperset(rule[0]))
             decided = self._fire(candidates, floors)
             if decided[1] < len(candidates) or (
                 len({repr(consequent) for _, consequent in candidates}) > 1

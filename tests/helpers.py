@@ -1,8 +1,8 @@
 """Shared test machinery: random system generation, an independent
 brute-force Sugeno evaluator used as the oracle for the engine, a
 sample-by-sample rule generator used as the oracle for ``generate_rules``,
-the reference wording of ``ingest``'s quantity errors, and points in every
-cell of a variable."""
+the reference wording of ``ingest``'s quantity errors, points in every
+cell of a variable, and the end degrees each cell must hold."""
 
 from __future__ import annotations
 
@@ -119,6 +119,18 @@ def cell_points(var: FuzzyVariable) -> list[float]:
     points.update(math.nextafter(cut, var.domain[1]) for cut in cuts[:-1])
     points.update((left + right) / 2 for left, right in zip(cuts, cuts[1:]))
     return sorted(points)
+
+
+def end_degrees(var: FuzzyVariable, cell: int) -> tuple[list[float], list[float]]:
+    """Each term's lesser and greater degree, by ``_fill``, at the two floats
+    of ``cell`` next to a cut, a point cell's cut twice: the floors and peaks
+    ``var._cells`` must hold for the cell.  Degrees are monotone across a
+    cell, so these bound each term throughout it."""
+    cuts = var._cells[0]
+    left, right = cuts[cell // 2], cuts[(cell + 1) // 2]
+    ends = (var._fill(cell, math.nextafter(left, right)),
+            var._fill(cell, math.nextafter(right, left)))
+    return list(map(min, *ends)), list(map(max, *ends))
 
 
 def random_point(rng: random.Random, fis: SugenoFis) -> dict[str, float]:

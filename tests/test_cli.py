@@ -45,6 +45,20 @@ variable output Out domain 0 6
 rule IF A IS All AND B IS All THEN Out = 1
 """
 
+E308 = "17" + "0" * 307  # 1.7e308; the grammar reads plain digits only
+
+# each consequent lies in the output domain, but their sum overflows
+OVERFLOWING_FIS = f"""\
+variable input TrafficFlow [veh/h] domain 0 10
+  mf Low trap 0 0 5 10
+  mf All trap 0 0 10 10
+variable input Speed [km/h] domain 0 10
+  mf All trap 0 0 10 10
+variable output LoS domain 0 {E308}
+rule IF TrafficFlow IS Low AND Speed IS All THEN LoS = {E308}
+rule IF TrafficFlow IS All AND Speed IS All THEN LoS = {E308}
+"""
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -392,6 +406,17 @@ def test_idempotent_invocations(capsys, tmp_path):
     run(capsys, "surface", "--steps", "10", "--out", str(a))
     run(capsys, "surface", "--steps", "10", "--out", str(b))
     assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", [("infer", "5", "5"), ("surface", "--steps", "3")])
+def test_consequents_summing_past_the_float_range_are_exit_2(capsys, tmp_path, command):
+    # before inference could reach the kernel's overflowing fsum
+    path = tmp_path / "overflowing.fis"
+    path.write_text(OVERFLOWING_FIS, encoding="utf-8")
+    code, out, err = run(capsys, *command, "--fis", str(path))
+    assert code == 2
+    assert "line 8, column 1: consequent magnitudes up to this rule sum past the float range" in err
+    assert out == ""
 
 
 def test_unknown_command_exits_2(capsys):

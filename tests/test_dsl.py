@@ -296,6 +296,21 @@ variable output O domain 0 5
     ]
 
 
+def test_consequents_summing_past_the_float_range_are_reported_on_the_rule():
+    e308 = "17" + "0" * 307
+    source = f"""\
+variable input A domain 0 10
+  mf a trap 0 1 2 3
+  mf b trap 1 2 3 4
+variable output O domain 0 {e308}
+rule IF A IS a THEN O = {e308}
+rule IF A IS b THEN O = {e308}
+"""
+    (error,) = validation_errors(source)
+    assert (error.line, error.column) == (6, 1)
+    assert error.message == "consequent magnitudes up to this rule sum past the float range"
+
+
 @pytest.mark.parametrize("first", ["mf a trap 0 1 2 3", "mf a trap 3 2 1 0"])
 def test_support_outside_the_domain_is_reported_on_its_mf(first):
     source = f"""\

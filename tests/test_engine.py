@@ -25,7 +25,7 @@ from fuzzylos import (
     parse_fis,
 )
 from fuzzylos.engine import grid_value
-from helpers import brute_force_raw, random_fis, random_point, rule_strength
+from helpers import brute_force_raw, end_degrees, random_fis, random_point, rule_strength
 
 
 def two_input_fis(and_operator="min", rules=None):
@@ -374,6 +374,53 @@ def test_domains_must_be_finite(bounds):
     )
 
 
+def big_fis(output_domain, consequents):
+    """two_input_fis's inputs with one rule per consequent, each firing at
+    strength 1 at Flow 20, Speed 1 (the last one's antecedent is empty)."""
+    fis = two_input_fis()
+    antecedents = [(("Flow", "lo"), ("Speed", "lo")), (("Flow", "lo"),), (("Speed", "lo"),), ()]
+    rules = tuple(map(Rule, antecedents, consequents))
+    return SugenoFis(fis.inputs, "Out", output_domain, rules)
+
+
+OVERFLOW = "consequent magnitudes up to this rule sum past the float range"
+
+
+@pytest.mark.parametrize("consequents", [
+    (1.7e308, 1.7e308),
+    (-1.7e308, 1.7e308, 1.7e308),  # reported once, at the first rule past
+    # each float addition to sys.float_info.max rounds back to it, yet fsum,
+    # which the kernel uses, of the three overflows
+    (sys.float_info.max, 5e291, 5e291),
+])
+def test_consequents_whose_magnitudes_sum_past_the_float_range_are_refused(consequents):
+    span = sys.float_info.max
+    with pytest.raises(FisConfigError) as info:
+        big_fis((-span, span), consequents)
+    assert info.value.problems == ((("rules", 1), OVERFLOW),)
+    # where every rule fires at one sign, the kernel's fsum is this one
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum(map(abs, consequents))
+
+
+def test_consequents_within_the_float_range_infer():
+    span = sys.float_info.max
+    point = {"Flow": 20.0, "Speed": 1.0}
+    assert infer(big_fis((0.0, span), (span,)), point) == InferenceResult(span, 1)
+    # the fraction adds less than the distance from the largest float to inf
+    assert infer(big_fis((0.0, span), (span, 0.5)), point) == InferenceResult(span / 2, 2)
+    raw = infer(big_fis((-span, span), (span / 2, span / 4, -span / 4)), point).raw
+    assert raw == span / 6
+    # a consequent outside the output domain is reported as such, not counted
+    with pytest.raises(FisConfigError) as info:
+        big_fis((0.0, 1e308), (1.7e308, 1e308, 5e307))
+    assert [location for location, _ in info.value.problems] == [("rules", 0)]
+    # and neither is one inside a domain that is not finite
+    with pytest.raises(FisConfigError) as info:
+        big_fis((0.0, math.inf), (math.inf, 1.7e308, 1.7e308))
+    assert [location for location, _ in info.value.problems] == [("output_domain",)]
+
+
 def test_a_domain_wider_than_the_float_range_is_refused():
     with pytest.raises(FisConfigError) as info:
         FuzzyVariable("v", "", (-1e308, 1e308), ())
@@ -533,26 +580,66 @@ def memo_entry(fis, cells):
     is cut k, where a term is positive if its degree there is; cell 2k + 1 is
     the open span between cuts k and k + 1, where a term is positive if its
     support [a, d] covers the span."""
+    names = [var.name for var in fis.inputs]
+    cut = [cuts(var) for var in fis.inputs]
     entry = []
     for rule in fis.rules:
         clauses = []
         for var_name, term_name in rule.antecedent:
-            i = [var.name for var in fis.inputs].index(var_name)
+            i = names.index(var_name)
             var = fis.inputs[i]
             k, is_span = divmod(cells[i], 2)
             j = var.term_names().index(term_name)
             mf = var.terms[j][1]
             if is_span:
-                left, right = cuts(var)[k : k + 2]
+                left, right = cut[i][k : k + 2]
                 positive = mf.a <= left and right <= mf.d
             else:
-                positive = mf.degree(cuts(var)[k]) > 0.0
+                positive = mf.degree(cut[i][k]) > 0.0
             if not positive:
                 break
             clauses.append((i, j))
         else:
             entry.append((tuple(clauses), rule.consequent))
     return tuple(entry)
+
+
+def every_cell_tuple(fis):
+    return itertools.product(*(range(len(var._cells[1])) for var in fis.inputs))
+
+
+def test_candidates_are_the_memo_entry_on_every_cell_tuple_of_random_systems():
+    rng = random.Random(67)
+    for _ in range(100):
+        fis = random_fis(rng, max_inputs=2)
+        for cells in every_cell_tuple(fis):
+            assert fis._record(cells)[0] == memo_entry(fis, cells)
+
+
+def test_each_cell_holds_the_least_and_greatest_degree_at_its_ends(default_fis):
+    # the floors and peaks _record reads are _fill's range at the cell's two
+    # floats next to a cut, bit for bit
+    rng = random.Random(61)
+    systems = [default_fis, *(random_fis(rng) for _ in range(100))]
+    for var in (var for fis in systems for var in fis.inputs):
+        for cell, (floors, _, peaks) in enumerate(var._cells[1]):
+            assert repr((floors, peaks)) == repr(end_degrees(var, cell))
+
+
+def test_a_cold_build_of_every_record_fills_no_degree(monkeypatch):
+    fis = parse_fis(default_fis_text())
+    fills = []
+    fill = FuzzyVariable._fill
+
+    def counting_fill(self, cell, x):
+        fills.append(cell)
+        return fill(self, cell, x)
+
+    monkeypatch.setattr(FuzzyVariable, "_fill", counting_fill)
+    for cells in every_cell_tuple(fis):
+        fis._record(cells)
+    assert len(fis._records) == 1209
+    assert fills == []
 
 
 def test_concurrent_inference_is_consistent(default_fis):

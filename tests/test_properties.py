@@ -3,16 +3,17 @@
 Systems come from ``helpers.random_fis`` seeded by hypothesis, and from
 ``coinciding_systems``, whose breakpoints coincide; each one is run under
 both AND operators.  ``infer`` must agree with the independent brute-force
-evaluator, on and 1 ulp around every breakpoint too, and a point's candidate
-rules must be exactly the rules it fires.  ``export_surface`` and
-``classify`` reach the kernel without going through ``infer``: every cell of
-a random two-input surface, and ``classify`` at that cell, must be
-bit-identical to pointwise inference, and ``classify`` must round, clamp and
-flag boundaries and anomalies by its rule; ``export_surface`` must write
-exactly those cells, line by line, text for text.  One ``classifier``, which
-keeps what it answered for each decided cell tuple, must answer a walk over
-cuts, their neighbouring floats and cell midpoints, and the walk back, as a
-fresh ``classify`` answers each point.
+evaluator, on and 1 ulp around every breakpoint too, a point's candidate
+rules must be exactly the rules it fires, and each cell must hold each term's
+least and greatest degree at its two floats next to a cut.
+``export_surface`` and ``classify`` reach the kernel without going through
+``infer``: every cell of a random two-input surface, and ``classify`` at that
+cell, must be bit-identical to pointwise inference, and ``classify`` must
+round, clamp and flag boundaries and anomalies by its rule;
+``export_surface`` must write exactly those cells, line by line, text for
+text.  One ``classifier``, which keeps what it answered for each decided cell
+tuple, must answer a walk over cuts, their neighbouring floats and cell
+midpoints, and the walk back, as a fresh ``classify`` answers each point.
 ``ingest`` must read back exactly what ``csv.writer`` wrote, and what
 ``label_csv`` wrote from it, and accept a speed or flow field exactly when
 ``float`` reads its stripped text as a finite number not below zero.
@@ -54,7 +55,9 @@ import fuzzylos as fz
 from fuzzylos.engine import grid_value
 from fuzzylos.regions import classifier
 from fuzzylos.rulegen import _axis_counts, half_cut
-from helpers import brute_force_raw, cell_points, quantity_refusal, random_fis, sampled_rules
+from helpers import (
+    brute_force_raw, cell_points, end_degrees, quantity_refusal, random_fis, sampled_rules
+)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -158,6 +161,14 @@ def test_a_points_candidates_are_exactly_its_fired_rules(fis, data):
     result = fz.infer(fis, {var.name: x for var, x in zip(fis.inputs, point)})
     cells = tuple(var._cell_degrees(x)[0] for var, x in zip(fis.inputs, point))
     assert len(fis._records[cells][0]) == result.fired_rule_count
+
+
+@PROPERTY_SETTINGS
+@given(fis=coinciding_systems())
+def test_each_cell_holds_its_end_degrees_where_breakpoints_coincide(fis):
+    for var in fis.inputs:
+        for cell, (floors, _, peaks) in enumerate(var._cells[1]):
+            assert repr((floors, peaks)) == repr(end_degrees(var, cell))
 
 
 def grid_cells(fis, flow_steps, speed_steps):
