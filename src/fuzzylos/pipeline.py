@@ -60,7 +60,10 @@ def _read_rows(text: str, labels: bool) -> Iterator[tuple[int, list[str], _Row |
     field may span several), its fields and either their validated
     (timestamp, speed, flow, los) or the ValueError that rejects them, whose
     message names that line.  A quantity is accepted exactly when ``float``
-    reads its stripped text as a finite number that is not negative.
+    reads its stripped text as a finite number that is not negative.  Each
+    quantity costs one ``float`` call as it stands; only if one of them
+    fails, as padding such as ``\\x1c``-``\\x1f`` makes it, are both read
+    again stripped.
     """
     import csv
 
@@ -83,15 +86,16 @@ def _read_rows(text: str, labels: bool) -> Iterator[tuple[int, list[str], _Row |
         try:
             for record in reader:
                 if len(record) == width:
-                    # strip first: float() refuses \x1c-\x1f around a number, strip() drops them
                     try:
-                        speed = float(record[1].strip())
-                        flow = float(record[2].strip())
-                        accepted = 0.0 <= speed < inf and 0.0 <= flow < inf
+                        speed, flow = float(record[1]), float(record[2])
                     except ValueError:
-                        accepted = False
+                        # float() refuses \x1c-\x1f around a number, strip() drops them
+                        try:
+                            speed, flow = float(record[1].strip()), float(record[2].strip())
+                        except ValueError:
+                            speed = flow = math.nan
                     row: _Row | ValueError
-                    if not accepted:
+                    if not (0.0 <= speed < inf and 0.0 <= flow < inf):
                         row = _rejection(record, line)
                     elif not labeled:
                         row = (record[0].strip(), speed, flow, None)
@@ -117,14 +121,16 @@ def ingest(text: str) -> tuple[list[Measurement], list[str]]:
     trailing ``los`` column of expert labels 1..6.  Quoted fields may hold
     commas, quotes and newlines.  Invalid rows are collected into the
     returned error list (with line numbers) and the valid rows are kept; a
-    missing or wrong header raises IngestError.
+    missing or wrong header raises IngestError.  Each quantity is read with
+    one ``float`` call unless it is padded with what ``float`` refuses
+    (see ``_read_rows``).
     """
     rows: list[Measurement] = []
     errors: list[str] = []
-    make = Measurement._make
+    new = tuple.__new__  # the reader's rows always have four fields: no _make length check
     for _, _, row in _read_rows(text, labels=True):
         if type(row) is tuple:
-            rows.append(make(row))
+            rows.append(new(Measurement, row))
         else:
             errors.append(str(row))
     return rows, errors
@@ -276,27 +282,30 @@ def evaluate(
     """
     rate = classifier(fis, epsilon)
     report = EvaluationReport()
+    errors, confusion = report.errors, report.confusion
+    unlabeled = anomalies = boundary_cases = 0
     for index, m in enumerate(data):
         truth = m.los
         if truth is not None and (type(truth) is not int or not 1 <= truth <= 6):
-            report.errors.append(f"point {index} ({m.timestamp}): los must be 1..6, got {truth!r}")
+            errors.append(f"point {index} ({m.timestamp}): los must be 1..6, got {truth!r}")
             continue
+        flow, speed = m.flow, m.speed
         try:
             if truth is None and model is not None:
-                truth = oracle_label(model, m.flow, m.speed)
-            _, level, boundary = rate(m.flow, m.speed)
+                truth = oracle_label(model, flow, speed)
+            _, level, boundary = rate(flow, speed)
         except OutOfDomainError as exc:
-            report.errors.append(f"point {index} ({m.timestamp}): {exc}")
+            errors.append(f"point {index} ({m.timestamp}): {exc}")
             continue
         if boundary:
-            report.boundary_cases += 1
+            boundary_cases += 1
         if truth is None:
-            report.unlabeled += 1
-            continue
-        if level is None:
-            report.anomalies += 1
-            continue
-        report.confusion[truth - 1][level - 1] += 1
+            unlabeled += 1
+        elif level is None:
+            anomalies += 1
+        else:
+            confusion[truth - 1][level - 1] += 1
+    report.unlabeled, report.anomalies, report.boundary_cases = unlabeled, anomalies, boundary_cases
     if report.points == 0:
         raise ValueError("no data to evaluate")
     return report
@@ -379,9 +388,12 @@ def label_csv(model: LosRegionModel, text: str) -> str:
     with that terminator: a field holding ``,``, ``"`` or ``"\\n"`` is quoted,
     its quotes doubled.  A reader takes a bare ``"\\r"`` for a line break, so
     a record with a field holding one has every field quoted, the level too.
+    The text is searched for ``"`` once: without one, no field can hold any
+    of those characters, and each record is written as its fields joined by
+    commas with no per-record test.
     """
-    out = io.StringIO()
-    out.write(",".join(LABELED_CSV_HEADER) + "\n")
+    quoted = '"' in text  # without a quote in the text, no field holds , " \r or \n
+    lines = [",".join(LABELED_CSV_HEADER)]
     for line, record, row in _read_rows(text, labels=False):
         if type(row) is not tuple:
             raise IngestError(str(row))
@@ -393,11 +405,12 @@ def label_csv(model: LosRegionModel, text: str) -> str:
         record.append(_LEVEL_TEXT[level])
         joined = ",".join(record)
         # the common record, four fields none of which holds a comma, quote or line break
-        if joined.count(",") != 3 or '"' in joined or "\n" in joined or "\r" in joined:
+        if quoted and (joined.count(",") != 3 or '"' in joined or "\n" in joined or "\r" in joined):
             cr = "\r" in joined
             joined = ",".join(
                 '"' + f.replace('"', '""') + '"' if cr or "," in f or '"' in f or "\n" in f else f
                 for f in record
             )
-        out.write(joined + "\n")
-    return out.getvalue()
+        lines.append(joined)
+    lines.append("")  # the last record ends in "\n" too
+    return "\n".join(lines)
