@@ -13,7 +13,8 @@ cell and each span between neighbouring cuts an open cell.  A cell holds its
 terms' floors and peaks, their lesser and greater degree at its two floats
 next to a cut, which bound them throughout the cell, and the ramps to
 evaluate.  A rule is a candidate for a tuple of cells when every clause names
-a term with a positive peak: exactly the rules that can fire there.
+a term with a positive peak and, under product, those peaks multiply to more
+than 0.0: exactly the rules that can fire there.
 Both tables are built lazily, on the first inference, so a system that is
 only parsed, serialized or replaced pays nothing for them.  Inference locates
 each input's cell, in ``FuzzyVariable._locate``, which owns the domain check,
@@ -347,18 +348,23 @@ class SugenoFis:
         one per input, built on first use from the floors and peaks of each
         input's cell in its ``_cells``.  The candidates are the compiled
         rules, in rule order, whose every clause names a term with a positive
-        peak (a rule without a clause on an input passes on it): exactly the
-        rules that can fire there.  ``decided`` is the kernel's result at the
-        floors, or None.  It is kept only if every candidate fires at the
-        floors, and so everywhere in the cells, as the AND is monotone; and if
-        the candidates share one consequent (by ``repr``, so 0.0 and -0.0 stay
-        apart), which the clamp then returns, or every degree a candidate
-        reads has its floor equal to its peak."""
+        peak (a rule without a clause on an input passes on it) and, under
+        product, which the kernel fires at those peaks, since positive peaks
+        can multiply to 0.0: exactly the rules that can fire there, as each
+        rule reads one term per input and its peaks lie at points of the
+        cells.  ``decided`` is the kernel's result at the floors, or None.
+        It is kept only if every candidate fires at the floors, and so
+        everywhere in the cells, as the AND is monotone; and if the candidates
+        share one consequent (by ``repr``, so 0.0 and -0.0 stay apart), which
+        the clamp then returns, or every degree a candidate reads has its
+        floor equal to its peak."""
         record = self._records.get(cells)
         if record is None:
             floors, _, peaks = zip(*(var._cells[1][cell] for var, cell in zip(self.inputs, cells)))
             active = {(i, j) for i, row in enumerate(peaks) for j, p in enumerate(row) if p > 0.0}
-            candidates = tuple(rule for rule in self._compiled if active.issuperset(rule[0]))
+            # under product, positive peaks can multiply to 0.0: the rule fires nowhere
+            candidates = tuple(rule for rule in self._compiled if active.issuperset(rule[0])
+                               and (self.and_operator == "min" or self._fire((rule,), peaks)[1]))
             decided = self._fire(candidates, floors)
             if decided[1] < len(candidates) or (
                 len({repr(consequent) for _, consequent in candidates}) > 1

@@ -390,7 +390,8 @@ def label_csv(model: LosRegionModel, text: str) -> str:
     a record with a field holding one has every field quoted, the level too.
     The text is searched for ``"`` once: without one, no field can hold any
     of those characters, and each record is written as its fields joined by
-    commas with no per-record test.
+    commas with no test; with one, every field of every record is put
+    through that rule, which leaves a field that needs no quotes as it is.
     """
     quoted = '"' in text  # without a quote in the text, no field holds , " \r or \n
     lines = [",".join(LABELED_CSV_HEADER)]
@@ -403,14 +404,10 @@ def label_csv(model: LosRegionModel, text: str) -> str:
         except OutOfDomainError as exc:
             raise IngestError(f"line {line}: {exc}") from None
         record.append(_LEVEL_TEXT[level])
-        joined = ",".join(record)
-        # the common record, four fields none of which holds a comma, quote or line break
-        if quoted and (joined.count(",") != 3 or '"' in joined or "\n" in joined or "\r" in joined):
-            cr = "\r" in joined
-            joined = ",".join(
-                '"' + f.replace('"', '""') + '"' if cr or "," in f or '"' in f or "\n" in f else f
-                for f in record
-            )
-        lines.append(joined)
+        if quoted:
+            cr = any("\r" in f for f in record)
+            record = ['"' + f.replace('"', '""') + '"'
+                      if cr or "," in f or '"' in f or "\n" in f else f for f in record]
+        lines.append(",".join(record))
     lines.append("")  # the last record ends in "\n" too
     return "\n".join(lines)

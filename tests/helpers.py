@@ -1,13 +1,15 @@
-"""Shared test machinery: random system generation, an independent
-brute-force Sugeno evaluator used as the oracle for the engine, a
-sample-by-sample rule generator used as the oracle for ``generate_rules``,
-the reference wording of ``ingest``'s quantity errors, points in every
-cell of a variable, and the end degrees each cell must hold."""
+"""Shared test machinery: random system generation, at the float edges too,
+an independent brute-force Sugeno evaluator used as the oracle for the
+engine, a sample-by-sample rule generator used as the oracle for
+``generate_rules``, the reference wording of ``ingest``'s quantity errors,
+points in every cell of a variable, and the end degrees each cell must
+hold."""
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 
 from fuzzylos import (
@@ -109,6 +111,77 @@ def random_fis(rng: random.Random, max_inputs: int = 3, min_inputs: int = 1) -> 
     )
 
 
+# Input domains from the subnormal range up to the float maximum; each width
+# hi - lo is finite, as FuzzyVariable requires.
+EXTREME_DOMAINS = (
+    (-5e-324, 5e-324), (0.0, 1e-310), (-1e-300, 1e-300), (0.0, 1.0), (-1.0, 1e300),
+    (-1e300, 1e300), (-sys.float_info.max / 2, sys.float_info.max / 2),
+    (0.0, sys.float_info.max), (-sys.float_info.max, -1e300),
+)
+# 0.0 and -0.0, the smallest subnormal and small integers.  A subnormal
+# weight times a small integer is exact; times a fraction it rounds, and as
+# ``brute_force_raw`` does not clamp, its average could then leave the range
+# of the fired consequents, into which ``infer`` clamps.
+EXTREME_CONSEQUENTS = (0.0, -0.0, 5e-324, 1.0, 2.0, 3.0, 6.0, -4.0)
+
+
+def extreme_palette(lo: float, hi: float) -> list[float]:
+    """Breakpoints for the domain [lo, hi]: 0 and +-5e-324, 1e-310 and
+    1e-300 where they lie in it, its quarter points, and the floats 1 ulp to
+    either side of each, kept inside the domain."""
+    points = {lo + (hi - lo) / 4 * k for k in range(5)} | {hi}
+    points |= {p for p in (0.0, 5e-324, -5e-324, 1e-310, 1e-300) if lo <= p <= hi}
+    near = {q for p in points for q in (math.nextafter(p, lo), p, math.nextafter(p, hi))}
+    return sorted(p for p in near if lo <= p <= hi)
+
+
+def extreme_variable(rng: random.Random, name: str) -> FuzzyVariable:
+    """A variable on one of ``EXTREME_DOMAINS`` whose 1 to 4 terms take their
+    breakpoints from its ``extreme_palette``, drawn with repeats, so that
+    breakpoints coincide; some terms have a vertical shoulder, some a support
+    ending on a domain end, and some start where the previous term ends."""
+    lo, hi = rng.choice(EXTREME_DOMAINS)
+    palette = extreme_palette(lo, hi)
+    mfs: list[TrapezoidMF] = []
+    for _ in range(rng.randint(1, 4)):
+        start = mfs[-1].d if mfs and rng.random() < 0.3 else rng.choice(palette)
+        a, b, c, d = sorted([start, *(rng.choice([p for p in palette if p >= start])
+                                      for _ in range(3))])
+        if rng.random() < 0.2:
+            a = lo
+        if rng.random() < 0.2:
+            d = hi
+        if rng.random() < 0.25:
+            b = a
+        if rng.random() < 0.25:
+            c = d
+        mfs.append(TrapezoidMF(a, b, c, d))
+    terms = tuple((f"T{j}", mf) for j, mf in enumerate(mfs))
+    return FuzzyVariable(name=name, unit="", domain=(lo, hi), terms=terms)
+
+
+def extreme_fis(rng: random.Random) -> SugenoFis:
+    """A two-input system at the float edges: each input from
+    ``extreme_variable``, 1 to 8 rules on any subset of the inputs, the empty
+    one included, with consequents from ``EXTREME_CONSEQUENTS``, and either
+    AND operator."""
+    inputs = (extreme_variable(rng, "X"), extreme_variable(rng, "Y"))
+    rules = {}
+    for _ in range(rng.randint(1, 8)):
+        antecedent = tuple(
+            (var.name, rng.choice(var.term_names())) for var in inputs if rng.random() < 0.7
+        )
+        consequent = rng.choice(EXTREME_CONSEQUENTS)
+        rules.setdefault(frozenset(antecedent), Rule(antecedent, consequent))
+    return SugenoFis(
+        inputs=inputs,
+        output_name="Out",
+        output_domain=(-6.0, 6.0),
+        rules=tuple(rules.values()),
+        and_operator=rng.choice(["min", "product"]),
+    )
+
+
 def cell_points(var: FuzzyVariable) -> list[float]:
     """Every cut of ``var``, the floats next to it inside the domain and
     every open cell's midpoint: a point in each of its cells, several in
@@ -117,7 +190,7 @@ def cell_points(var: FuzzyVariable) -> list[float]:
     points = set(cuts)
     points.update(math.nextafter(cut, var.domain[0]) for cut in cuts[1:])
     points.update(math.nextafter(cut, var.domain[1]) for cut in cuts[:-1])
-    points.update((left + right) / 2 for left, right in zip(cuts, cuts[1:]))
+    points.update(left + (right - left) / 2 for left, right in zip(cuts, cuts[1:]))
     return sorted(points)
 
 

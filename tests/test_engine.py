@@ -230,6 +230,29 @@ def test_a_product_that_underflows_at_the_floors_is_not_decided():
         assert infer(fis, {"X": 1e-101, "Y": 1e-101}) == InferenceResult(1.0, 1)
 
 
+def test_a_rule_whose_peaks_multiply_to_zero_is_no_candidate_under_product():
+    # The cut at 1e-200 bounds the open cell (0, 1e-200), where A's degree
+    # peaks just under 1e-200 on each input: the minimum fires, but the
+    # product of two such degrees underflows to 0.0 at every point of the
+    # cells, so under product the rule cannot fire there.
+    def axis(name):
+        return FuzzyVariable(name, "", (0.0, 1.0), (
+            ("A", TrapezoidMF(0.0, 1.0, 1.0, 1.0)), ("B", TrapezoidMF(1e-200, 1e-200, 1.0, 1.0)),
+        ))
+
+    point = {"X": math.nextafter(1e-200, 0.0), "Y": math.nextafter(1e-200, 0.0)}
+    for and_operator, fired in (("min", 1), ("product", 0)):
+        fis = SugenoFis(
+            inputs=(axis("X"), axis("Y")),
+            output_name="Out",
+            output_domain=(0.0, 6.0),
+            rules=(Rule((("X", "A"), ("Y", "A")), 1.0),),
+            and_operator=and_operator,
+        )
+        assert len(fis._record((1, 1))[0]) == infer(fis, point).fired_rule_count == fired
+    assert fis._record((1, 1)) == ((), (0.0, 0))
+
+
 def cell_points(var, rng):
     """Points of each cell of ``var``, in cell order: a point cell's cut, and
     in an open cell the floats next to both cuts and two uniform draws."""

@@ -1,15 +1,19 @@
 """Property tests over random systems and region models.
 
-Systems come from ``helpers.random_fis`` seeded by hypothesis, and from
-``coinciding_systems``, whose breakpoints coincide; each one is run under
-both AND operators.  ``infer`` must agree with the independent brute-force
-evaluator, on and 1 ulp around every breakpoint too, a point's candidate
-rules must be exactly the rules it fires, and each cell must hold each term's
-least and greatest degree at its two floats next to a cut.
+Systems come from ``helpers.random_fis`` seeded by hypothesis, from
+``coinciding_systems``, whose breakpoints coincide, and from
+``extreme_systems``, whose breakpoints lie at the float edges, from 5e-324
+to the float maximum; each one is run under both AND operators.  ``infer``
+must agree with the independent brute-force evaluator, on and 1 ulp around
+every breakpoint too, a point's candidate rules must be exactly the rules it
+fires, or, at the float edges, where a ramp can underflow inside its cell,
+exactly the rules that fire somewhere in its cells, and each cell must hold
+each term's least and greatest degree at its two floats next to a cut.
 ``export_surface`` and ``classify`` reach the kernel without going through
-``infer``: every cell of a random two-input surface, and ``classify`` at that
-cell, must be bit-identical to pointwise inference, and ``classify`` must
-round, clamp and flag boundaries and anomalies by its rule;
+``infer``: every cell of a random two-input surface, at the float edges too,
+and ``classify`` at that cell, must be bit-identical to pointwise inference,
+and ``classify`` must round, clamp and flag boundaries and anomalies by its
+rule;
 ``export_surface`` must write exactly those cells, line by line, text for
 text.  One ``classifier``, which keeps what it answered for each decided cell
 tuple, must answer a walk over cuts, their neighbouring floats and cell
@@ -41,6 +45,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import math
 import random
 import string
@@ -56,7 +61,8 @@ from fuzzylos.engine import grid_value
 from fuzzylos.regions import classifier
 from fuzzylos.rulegen import _axis_counts, half_cut
 from helpers import (
-    brute_force_raw, cell_points, end_degrees, quantity_refusal, random_fis, sampled_rules
+    brute_force_raw, cell_points, end_degrees, extreme_fis, quantity_refusal, random_fis,
+    rule_strength, sampled_rules,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -171,6 +177,43 @@ def test_each_cell_holds_its_end_degrees_where_breakpoints_coincide(fis):
             assert repr((floors, peaks)) == repr(end_degrees(var, cell))
 
 
+extreme_systems = st.builds(
+    lambda seed, operator: dataclasses.replace(extreme_fis(random.Random(seed)),
+                                               and_operator=operator),
+    seeds, operators,
+)
+
+
+@PROPERTY_SETTINGS
+@given(fis=extreme_systems, data=st.data())
+def test_infer_matches_brute_force_on_extreme_systems(fis, data):
+    check_against_brute_force(fis, data)
+
+
+@PROPERTY_SETTINGS
+@given(fis=extreme_systems, data=st.data())
+def test_candidates_are_exactly_the_rules_that_fire_in_their_cells_on_extreme_systems(fis, data):
+    # A rule reads one term per input and each degree is monotone across a
+    # cell, so a rule fires somewhere in a cell tuple exactly when it fires
+    # where each of its terms is greatest: at a point cell's cut, or at one
+    # of an open cell's two floats next to a cut.
+    cells, ends = [], []
+    for var in fis.inputs:
+        # the cell of a float: an open cell between two adjacent floats holds none
+        cell = var._locate(data.draw(st.sampled_from(cell_points(var)), label=var.name))
+        left, right = var._cells[0][cell // 2], var._cells[0][(cell + 1) // 2]
+        cells.append(cell)
+        ends.append({math.nextafter(left, right), math.nextafter(right, left)} if cell % 2
+                    else {left})
+    fired = set()
+    for point in itertools.product(*ends):
+        values = {var.name: x for var, x in zip(fis.inputs, point)}
+        firing = {k for k, rule in enumerate(fis.rules) if rule_strength(fis, rule, values) > 0.0}
+        assert fz.infer(fis, values).fired_rule_count == len(firing)
+        fired |= firing
+    assert fis._record(tuple(cells))[0] == tuple(fis._compiled[k] for k in sorted(fired))
+
+
 def grid_cells(fis, flow_steps, speed_steps):
     """The surface's grid coordinates, flow-major, as ``export_surface`` walks them."""
     flow_domain, speed_domain = (var.domain for var in fis.inputs)
@@ -189,7 +232,20 @@ def grid_cells(fis, flow_steps, speed_steps):
     speed_steps=st.integers(min_value=2, max_value=9),
 )
 def test_surface_cells_are_bit_identical_to_infer(seed, operator, flow_steps, speed_steps):
-    fis = system(seed, operator, min_inputs=2, max_inputs=2)
+    # consequents span [-10, 20], so the clamp into 1..6 is exercised
+    check_surface_against_infer(system(seed, operator, min_inputs=2, max_inputs=2),
+                                flow_steps, speed_steps)
+
+
+@PROPERTY_SETTINGS
+@given(fis=extreme_systems)
+def test_surface_cells_are_bit_identical_to_infer_on_extreme_systems(fis):
+    check_surface_against_infer(fis, 13, 11)
+
+
+def check_surface_against_infer(fis, flow_steps, speed_steps):
+    """Every cell of ``export_surface``, and ``classify`` at it, is pointwise
+    inference bit for bit, and ``classify`` rounds, clamps and flags by its rule."""
     flow_name, speed_name = (var.name for var in fis.inputs)
     rows = [
         tuple(float(text) for text in line.split(","))
@@ -205,7 +261,6 @@ def test_surface_cells_are_bit_identical_to_infer(seed, operator, flow_steps, sp
         assert bits(rated.raw) == bits(expected.raw)
         assert (rated.level is None) == (expected.fired_rule_count == 0)
         if rated.level is not None:
-            # consequents span [-10, 20], so the clamp into 1..6 is exercised
             assert rated.level == min(max(math.floor(expected.raw + 0.5), 1), 6)
             assert rated.boundary == (abs(expected.raw - round(expected.raw)) > 0.05)
 
