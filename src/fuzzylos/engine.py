@@ -12,9 +12,8 @@ at every term's breakpoints ``a``, ``b``, ``c`` and ``d``; each cut is a point
 cell and each span between neighbouring cuts an open cell.  A cell holds its
 terms' floors and peaks, their lesser and greater degree at its two floats
 next to a cut, which bound them throughout the cell, and the ramps to
-evaluate.  A rule is a candidate for a tuple of cells when every clause names
-a term with a positive peak and, under product, those peaks multiply to more
-than 0.0: exactly the rules that can fire there.
+evaluate.  A rule is a candidate for a tuple of cells when the kernel fires
+it on the cells' peaks: exactly the rules that can fire there.
 Both tables are built lazily, on the first inference, so a system that is
 only parsed, serialized or replaced pays nothing for them.  Inference locates
 each input's cell, in ``FuzzyVariable._locate``, which owns the domain check,
@@ -347,12 +346,11 @@ class SugenoFis:
         """The memo's ``(candidates, decided)`` for the cells ``_locate`` gave,
         one per input, built on first use from the floors and peaks of each
         input's cell in its ``_cells``.  The candidates are the compiled
-        rules, in rule order, whose every clause names a term with a positive
-        peak (a rule without a clause on an input passes on it) and, under
-        product, which the kernel fires at those peaks, since positive peaks
-        can multiply to 0.0: exactly the rules that can fire there, as each
-        rule reads one term per input and its peaks lie at points of the
-        cells.  ``decided`` is the kernel's result at the floors, or None.
+        rules, in rule order, that the kernel fires on the peaks (under min,
+        those whose every clause names a term with a positive peak; under
+        product, positive peaks can still multiply to 0.0): exactly the rules
+        that can fire there, as each rule reads one term per input and its
+        peaks lie at points of the cells.  ``decided`` is the kernel's result at the floors, or None.
         It is kept only if every candidate fires at the floors, and so
         everywhere in the cells, as the AND is monotone; and if the candidates
         share one consequent (by ``repr``, so 0.0 and -0.0 stay apart), which
@@ -361,10 +359,7 @@ class SugenoFis:
         record = self._records.get(cells)
         if record is None:
             floors, _, peaks = zip(*(var._cells[1][cell] for var, cell in zip(self.inputs, cells)))
-            active = {(i, j) for i, row in enumerate(peaks) for j, p in enumerate(row) if p > 0.0}
-            # under product, positive peaks can multiply to 0.0: the rule fires nowhere
-            candidates = tuple(rule for rule in self._compiled if active.issuperset(rule[0])
-                               and (self.and_operator == "min" or self._fire((rule,), peaks)[1]))
+            candidates = tuple(rule for rule in self._compiled if self._fire((rule,), peaks)[1])
             decided = self._fire(candidates, floors)
             if decided[1] < len(candidates) or (
                 len({repr(consequent) for _, consequent in candidates}) > 1

@@ -52,19 +52,22 @@ def rule_strength(fis: SugenoFis, rule: Rule, values: dict[str, float]) -> float
 
 def brute_force_raw(fis: SugenoFis, values: dict[str, float]) -> tuple[float, int]:
     """Naive re-implementation of Sugeno inference: recompute every degree,
-    plain left-to-right sums, no shortcuts.  Returns (raw, fired count)."""
+    plain left-to-right sums, no shortcuts.  Returns (raw, fired count).
+    The average is clamped into the range of the fired consequents, where
+    the true average lies: at subnormal weights the rounded products can
+    take the quotient outside it."""
     numerator = 0.0
     denominator = 0.0
-    fired = 0
+    fired = []
     for rule in fis.rules:
         strength = rule_strength(fis, rule, values)
         if strength > 0.0:
-            fired += 1
+            fired.append(rule.consequent)
             numerator += strength * rule.consequent
             denominator += strength
-    if denominator == 0.0:
+    if not fired:
         return 0.0, 0
-    return numerator / denominator, fired
+    return min(max(numerator / denominator, min(fired)), max(fired)), len(fired)
 
 
 def random_trapezoid(rng: random.Random, lo: float, hi: float) -> TrapezoidMF:
@@ -118,11 +121,9 @@ EXTREME_DOMAINS = (
     (-1e300, 1e300), (-sys.float_info.max / 2, sys.float_info.max / 2),
     (0.0, sys.float_info.max), (-sys.float_info.max, -1e300),
 )
-# 0.0 and -0.0, the smallest subnormal and small integers.  A subnormal
-# weight times a small integer is exact; times a fraction it rounds, and as
-# ``brute_force_raw`` does not clamp, its average could then leave the range
-# of the fired consequents, into which ``infer`` clamps.
-EXTREME_CONSEQUENTS = (0.0, -0.0, 5e-324, 1.0, 2.0, 3.0, 6.0, -4.0)
+# 0.0 and -0.0, the smallest subnormal, small integers and fractions: a
+# subnormal weight times an integer is exact, times a fraction it rounds.
+EXTREME_CONSEQUENTS = (0.0, -0.0, 5e-324, 1.0, 2.0, 3.0, 6.0, -4.0, 2.5, -1.5, 0.1)
 
 
 def extreme_palette(lo: float, hi: float) -> list[float]:
@@ -160,11 +161,11 @@ def extreme_variable(rng: random.Random, name: str) -> FuzzyVariable:
     return FuzzyVariable(name=name, unit="", domain=(lo, hi), terms=terms)
 
 
-def extreme_fis(rng: random.Random) -> SugenoFis:
-    """A two-input system at the float edges: each input from
-    ``extreme_variable``, 1 to 8 rules on any subset of the inputs, the empty
-    one included, with consequents from ``EXTREME_CONSEQUENTS``, and either
-    AND operator."""
+def extreme_fis(rng: random.Random, and_operator: str) -> SugenoFis:
+    """A two-input system at the float edges under ``and_operator``: each
+    input from ``extreme_variable``, 1 to 8 rules on any subset of the
+    inputs, the empty one included, with consequents from
+    ``EXTREME_CONSEQUENTS``."""
     inputs = (extreme_variable(rng, "X"), extreme_variable(rng, "Y"))
     rules = {}
     for _ in range(rng.randint(1, 8)):
@@ -178,7 +179,7 @@ def extreme_fis(rng: random.Random) -> SugenoFis:
         output_name="Out",
         output_domain=(-6.0, 6.0),
         rules=tuple(rules.values()),
-        and_operator=rng.choice(["min", "product"]),
+        and_operator=and_operator,
     )
 
 

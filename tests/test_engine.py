@@ -253,6 +253,27 @@ def test_a_rule_whose_peaks_multiply_to_zero_is_no_candidate_under_product():
     assert fis._record((1, 1)) == ((), (0.0, 0))
 
 
+def test_subnormal_weights_average_to_a_consequent_both_rules_share():
+    # Each rule fires with weight 5e-324, and 5e-324 * 2.5 rounds to 1e-323,
+    # so the quotient of the sums is 2.0; the clamp into the fired
+    # consequents' range returns their true average, 2.5.
+    def axis(name):
+        return FuzzyVariable(name, "", (0.0, 1.0), (("A", TrapezoidMF(0.0, 1.0, 1.0, 1.0)),))
+
+    point = {"X": 5e-324, "Y": 5e-324}
+    for and_operator in ("min", "product"):
+        fis = SugenoFis(
+            inputs=(axis("X"), axis("Y")),
+            output_name="Out",
+            output_domain=(0.0, 6.0),
+            rules=(Rule((("X", "A"),), 2.5), Rule((("Y", "A"),), 2.5)),
+            and_operator=and_operator,
+        )
+        assert [rule_strength(fis, rule, point) for rule in fis.rules] == [5e-324, 5e-324]
+        assert infer(fis, point) == InferenceResult(2.5, 2)
+        assert brute_force_raw(fis, point) == (2.5, 2)
+
+
 def cell_points(var, rng):
     """Points of each cell of ``var``, in cell order: a point cell's cut, and
     in an open cell the floats next to both cuts and two uniform draws."""
@@ -752,8 +773,10 @@ def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_model):
     def cells(flow, speed):
         return tuple(var._locate(x) for var, x in zip(fis.inputs, (flow, speed)))
 
-    # building a record runs the kernel once, to decide the tuple
-    assert count(lambda: [fis._record(cells(*point)) for point in points]) == 4
+    # building a record runs the kernel once per rule, to pick the
+    # candidates, and once more, to decide the tuple
+    per_record = len(fis.rules) + 1
+    assert count(lambda: [fis._record(cells(*point)) for point in points]) == 4 * per_record
     assert [fis._records[cells(*point)][1] is None for point in points] == [False] * 3 + [True]
     # then only the undecided point is fuzzified and fired, by every caller
     assert count(lambda: [
@@ -770,7 +793,7 @@ def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_model):
     # the records it lacks and fires the 6 undecided cells of the 35, the
     # second fires those 6 alone.
     built = len(fis._records)
-    assert count(lambda: export_surface(fis, 7, 5)) == len(fis._records) - built + 6
+    assert count(lambda: export_surface(fis, 7, 5)) == (len(fis._records) - built) * per_record + 6
     assert count(lambda: export_surface(fis, 7, 5)) == 6
 
     # A dense grid fires at most once per pair of runs: consecutive grid

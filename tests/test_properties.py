@@ -177,11 +177,8 @@ def test_each_cell_holds_its_end_degrees_where_breakpoints_coincide(fis):
             assert repr((floors, peaks)) == repr(end_degrees(var, cell))
 
 
-extreme_systems = st.builds(
-    lambda seed, operator: dataclasses.replace(extreme_fis(random.Random(seed)),
-                                               and_operator=operator),
-    seeds, operators,
-)
+extreme_systems = st.builds(lambda seed, operator: extreme_fis(random.Random(seed), operator),
+                            seeds, operators)
 
 
 @PROPERTY_SETTINGS
