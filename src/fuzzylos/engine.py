@@ -8,12 +8,13 @@ so a built system is safe to share across threads.
 
 A SugenoFis compiles its rule base once, at construction, into
 (input index, term index) clauses.  Each input's domain is cut at its ends and
-at every term's breakpoints ``a``, ``b``, ``c`` and ``d``; each cut is a point
-cell and each span between neighbouring cuts an open cell.  A cell holds its
-terms' floors and peaks, their lesser and greater degree at its two floats
-next to a cut, which bound them throughout the cell, and the ramps to
-evaluate.  A rule is a candidate for a tuple of cells when the kernel fires
-it on the cells' peaks: exactly the rules that can fire there.
+at every term's breakpoints ``a``, ``b``, ``c`` and ``d``, and split into
+cells of one kind, each a run of floats found by its least one: every cut,
+and the floats after a cut up to the next, where there are any.  A cell
+holds its terms' floors and peaks, their lesser and greater degree at its
+least and greatest float, which bound them throughout the cell, and the
+ramps to evaluate.  A rule is a candidate for a tuple of cells when the
+kernel fires it on the cells' peaks: exactly the rules that can fire there.
 Both tables are built lazily, on the first inference, so a system that is
 only parsed, serialized or replaced pays nothing for them.  Inference locates
 each input's cell, in ``FuzzyVariable._locate``, which owns the domain check,
@@ -30,7 +31,7 @@ classification or a surface cell is bit-identical to pointwise inference.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -163,14 +164,12 @@ class FuzzyVariable:
         return cell, self._fill(cell, x)
 
     def _locate(self, x: float) -> int:
-        """The point cell 2k if x is cut k, else the open cell 2k + 1 between
-        cuts k and k + 1; OutOfDomainError if x (NaN too) is off the domain."""
+        """The cell holding x, the last whose least float is not above x;
+        OutOfDomainError if x (NaN too) is off the domain."""
         lo, hi = self.domain
         if not lo <= x <= hi:
             raise OutOfDomainError(f"{self.name} = {x} outside domain [{lo}, {hi}]")
-        cuts = self._cells[0]
-        i = bisect_left(cuts, x)
-        return 2 * i if cuts[i] == x else 2 * i - 1
+        return bisect_right(self._cells[0], x) - 1
 
     def _fill(self, cell: int, x: float) -> list[float]:
         """Every term's degree at x, in ``cell``: a copy of the cell's floors,
@@ -185,35 +184,36 @@ class FuzzyVariable:
 
     @cached_property
     def _cells(self) -> tuple[list[float], list[tuple[list[float], list, list[float]]]]:
-        """The sorted cuts, the domain ends and every term's ``a``, ``b``, ``c``
-        and ``d``, and per cell ``(floors, ramps, peaks)``: each term's lesser
-        and greater degree at the cell's two floats next to a cut, and the
-        ramps to evaluate.  Degrees are monotone in x across a cell, rounding
-        included, so a term's floor and peak bound it throughout the cell, and
-        it is constant there when they are equal.  Cell 2k is cut k, whose
-        degrees are constants, its floors and peaks one list, a zero as 0.0
-        at either signed zero.  In the open cell 2k + 1, between cuts k and
-        k + 1, a term is 0, 1 on its plateau, or strictly inside a ramp ``(j,
-        p, q)`` of degree ``(x - p) / q``: ``p = a, q = b - a`` rising, ``p =
-        d, q = c - d`` falling, which is ``TrapezoidMF.degree`` bit for bit,
-        as negating both operands of a division is exact.  ``_fill`` copies
+        """``starts``, the sorted least float of each cell, and per cell
+        ``(floors, ramps, peaks)``.  The starts are the cuts (the domain ends
+        and every term's ``a``, ``b``, ``c`` and ``d``) and the float after
+        each cut below ``hi``: cell k holds the floats from ``starts[k]`` to
+        the one before ``starts[k + 1]``, or to ``hi`` for the last, so each
+        cut is a cell, the floats up to the next cut another, and none is
+        empty.  In a cell strictly inside a ramp, a term is a ramp ``(j, p,
+        q)`` of degree ``(x - p) / q``: ``p = a, q = b - a`` rising, ``p = d,
+        q = c - d`` falling, which is ``TrapezoidMF.degree`` bit for bit, as
+        negating both operands of a division is exact; elsewhere it is
+        constant across the cell.  Its floor and peak are its lesser and
+        greater degree at the cell's least and greatest float, a zero as 0.0
+        at either signed zero; degrees are monotone in x across a cell,
+        rounding included, so these bound it throughout.  ``_fill`` copies
         the floors and evaluates the ramps; ``SugenoFis._record`` reads the
         floors and peaks.  Only these two read a cell."""
         lo, hi = self.domain
         terms = list(enumerate(mf for _, mf in self.terms))
-        cuts = sorted({lo, hi, *(p for _, mf in terms for p in (mf.a, mf.b, mf.c, mf.d))})
-        points = [[mf.degree(cut) or 0.0 for _, mf in terms] for cut in cuts]
-        cells = [(points[0], [], points[0])]
-        for left, right, point in zip(cuts, cuts[1:], points[1:]):
-            ramps = [(j, mf.a, mf.b - mf.a) for j, mf in terms if mf.a <= left and right <= mf.b]
-            ramps += [(j, mf.d, mf.c - mf.d) for j, mf in terms if mf.c <= left and right <= mf.d]
-            floors = [1.0 if mf.b <= left and right <= mf.c else 0.0 for _, mf in terms]
+        cuts = {lo, hi, *(p for _, mf in terms for p in (mf.a, mf.b, mf.c, mf.d))}
+        starts = sorted({*cuts, *(math.nextafter(cut, math.inf) for cut in cuts if cut < hi)})
+        cells = []
+        for low, high in zip(starts, [math.nextafter(s, lo) for s in starts[1:]] + [hi]):
+            ramps = [(j, mf.a, mf.b - mf.a) for j, mf in terms if mf.a < low and high < mf.b]
+            ramps += [(j, mf.d, mf.c - mf.d) for j, mf in terms if mf.c < low and high < mf.d]
+            floors = [mf.degree(low) or 0.0 for _, mf in terms]
             peaks = floors.copy()
-            ends = math.nextafter(left, right), math.nextafter(right, left)
             for j, p, q in ramps:
-                floors[j], peaks[j] = sorted((x - p) / q for x in ends)
-            cells += [(floors, ramps, peaks), (point, [], point)]
-        return cuts, cells
+                floors[j], peaks[j] = sorted(((low - p) / q, (high - p) / q))
+            cells.append((floors, ramps, peaks))
+        return starts, cells
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,7 @@ class SugenoFis:
         candidate has strength 0 and would leave both sums and the clamp
         range, and so the result, bit for bit unchanged.  A candidate is
         still tested for ``w > 0.0``: a ramp's degree can underflow to 0.0
-        just inside its open cell.
+        just inside its cell.
         The AND operator is resolved once per call; each rule conjoins its
         clauses in order, from 1.0.  The clamp into [min, max] of the fired
         consequents also makes a lone fired rule return its consequent

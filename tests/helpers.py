@@ -2,8 +2,8 @@
 an independent brute-force Sugeno evaluator used as the oracle for the
 engine, a sample-by-sample rule generator used as the oracle for
 ``generate_rules``, the reference wording of ``ingest``'s quantity errors,
-points in every cell of a variable, and the end degrees each cell must
-hold."""
+the bounds of a variable's cells, points in every cell, and the end degrees
+each cell must hold."""
 
 from __future__ import annotations
 
@@ -183,27 +183,32 @@ def extreme_fis(rng: random.Random, and_operator: str) -> SugenoFis:
     )
 
 
+def cell_bounds(var: FuzzyVariable, cell: int) -> tuple[float, float]:
+    """The least and greatest float of ``cell``, read from ``var._cells``:
+    its start, and the float before the next cell's start, or the domain's
+    upper end for the last cell."""
+    starts = var._cells[0]
+    if cell + 1 < len(starts):
+        return starts[cell], math.nextafter(starts[cell + 1], var.domain[0])
+    return starts[cell], var.domain[1]
+
+
 def cell_points(var: FuzzyVariable) -> list[float]:
-    """Every cut of ``var``, the floats next to it inside the domain and
-    every open cell's midpoint: a point in each of its cells, several in
-    each open one."""
-    cuts = var._cells[0]
-    points = set(cuts)
-    points.update(math.nextafter(cut, var.domain[0]) for cut in cuts[1:])
-    points.update(math.nextafter(cut, var.domain[1]) for cut in cuts[:-1])
-    points.update(left + (right - left) / 2 for left, right in zip(cuts, cuts[1:]))
+    """The least and greatest float of each cell of ``var`` and its
+    midpoint: a point in each of its cells, several in each wide one."""
+    points = set()
+    for cell in range(len(var._cells[1])):
+        least, greatest = cell_bounds(var, cell)
+        points |= {least, greatest, least + (greatest - least) / 2}
     return sorted(points)
 
 
 def end_degrees(var: FuzzyVariable, cell: int) -> tuple[list[float], list[float]]:
-    """Each term's lesser and greater degree, by ``_fill``, at the two floats
-    of ``cell`` next to a cut, a point cell's cut twice: the floors and peaks
-    ``var._cells`` must hold for the cell.  Degrees are monotone across a
-    cell, so these bound each term throughout it."""
-    cuts = var._cells[0]
-    left, right = cuts[cell // 2], cuts[(cell + 1) // 2]
-    ends = (var._fill(cell, math.nextafter(left, right)),
-            var._fill(cell, math.nextafter(right, left)))
+    """Each term's lesser and greater degree, by ``_fill``, at the least and
+    greatest float of ``cell``: the floors and peaks ``var._cells`` must hold
+    for the cell.  Degrees are monotone across a cell, so these bound each
+    term throughout it."""
+    ends = [var._fill(cell, x) for x in cell_bounds(var, cell)]
     return list(map(min, *ends)), list(map(max, *ends))
 
 

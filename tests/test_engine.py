@@ -25,7 +25,9 @@ from fuzzylos import (
     parse_fis,
 )
 from fuzzylos.engine import grid_value
-from helpers import brute_force_raw, end_degrees, random_fis, random_point, rule_strength
+from helpers import (
+    brute_force_raw, end_degrees, extreme_fis, random_fis, random_point, rule_strength,
+)
 
 
 def two_input_fis(and_operator="min", rules=None):
@@ -275,8 +277,11 @@ def test_subnormal_weights_average_to_a_consequent_both_rules_share():
 
 
 def cell_points(var, rng):
-    """Points of each cell of ``var``, in cell order: a point cell's cut, and
-    in an open cell the floats next to both cuts and two uniform draws."""
+    """Points of each cell of ``var``, in cell order, worked out from the cuts
+    alone: a cut, then the floats next to it and to the next cut, and two
+    uniform draws, between the two.  Cut k is cell 2k and the floats after
+    it cell 2k + 1 only where no two cuts are adjacent floats, as in every
+    ``random_fis`` draw, the only systems this reference runs on."""
     cut = cuts(var)
     points = []
     for left, right in zip(cut, cut[1:]):
@@ -623,7 +628,9 @@ def memo_entry(fis, cells):
     rules, in rule order, whose every term is positive in its cell.  Cell 2k
     is cut k, where a term is positive if its degree there is; cell 2k + 1 is
     the open span between cuts k and k + 1, where a term is positive if its
-    support [a, d] covers the span."""
+    support [a, d] covers the span.  That layout is the engine's only where
+    no two cuts are adjacent floats, as in every ``random_fis`` draw, the
+    only systems this reference runs on."""
     names = [var.name for var in fis.inputs]
     cut = [cuts(var) for var in fis.inputs]
     entry = []
@@ -660,9 +667,26 @@ def test_candidates_are_the_memo_entry_on_every_cell_tuple_of_random_systems():
             assert fis._record(cells)[0] == memo_entry(fis, cells)
 
 
+def test_every_cell_holds_a_float_and_no_degree_bound_is_negative_zero(default_fis):
+    # Every cut, the floats beside it and every span's midpoint, worked out
+    # from the breakpoints, not from the cell table, reach every cell: a cell
+    # none of them reaches would hold no float.
+    rng = random.Random(35)
+    systems = [default_fis, *(random_fis(rng) for _ in range(100))]
+    systems += [extreme_fis(random.Random(seed), "min") for seed in range(300)]
+    for var in (var for fis in systems for var in fis.inputs):
+        lo, hi = var.domain
+        cut = cuts(var)
+        points = {*cut, *(math.nextafter(c, end) for c in cut for end in (lo, hi))}
+        points.update(left + (right - left) / 2 for left, right in zip(cut, cut[1:]))
+        assert {var._locate(x) for x in points} == set(range(len(var._cells[1])))
+        for floors, _, peaks in var._cells[1]:
+            assert all(math.copysign(1.0, degree) == 1.0 for degree in floors + peaks)
+
+
 def test_each_cell_holds_the_least_and_greatest_degree_at_its_ends(default_fis):
-    # the floors and peaks _record reads are _fill's range at the cell's two
-    # floats next to a cut, bit for bit
+    # the floors and peaks _record reads are _fill's range at the cell's
+    # least and greatest float, bit for bit
     rng = random.Random(61)
     systems = [default_fis, *(random_fis(rng) for _ in range(100))]
     for var in (var for fis in systems for var in fis.inputs):

@@ -8,7 +8,7 @@ must agree with the independent brute-force evaluator, on and 1 ulp around
 every breakpoint too, a point's candidate rules must be exactly the rules it
 fires, or, at the float edges, where a ramp can underflow inside its cell,
 exactly the rules that fire somewhere in its cells, and each cell must hold
-each term's least and greatest degree at its two floats next to a cut.
+each term's least and greatest degree at its least and greatest float.
 ``export_surface`` and ``classify`` reach the kernel without going through
 ``infer``: every cell of a random two-input surface, at the float edges too,
 and ``classify`` at that cell, must be bit-identical to pointwise inference,
@@ -16,8 +16,10 @@ and ``classify`` must round, clamp and flag boundaries and anomalies by its
 rule;
 ``export_surface`` must write exactly those cells, line by line, text for
 text.  One ``classifier``, which keeps what it answered for each decided cell
-tuple, must answer a walk over cuts, their neighbouring floats and cell
-midpoints, and the walk back, as a fresh ``classify`` answers each point.
+tuple, must answer a walk over each cell's least and greatest float and
+midpoint, and the walk back, as a fresh ``classify`` answers each point, at
+the float edges too.  ``grid_value`` must run from ``lo`` to ``hi`` through
+finite values that never fall, over extreme domains and spans inside them.
 ``ingest`` must read back exactly what ``csv.writer`` wrote, and what
 ``label_csv`` wrote from it, and accept a speed or flow field exactly when
 ``float`` reads its stripped text as a finite number not below zero.
@@ -61,8 +63,8 @@ from fuzzylos.engine import grid_value
 from fuzzylos.regions import classifier
 from fuzzylos.rulegen import _axis_counts, half_cut
 from helpers import (
-    brute_force_raw, cell_points, end_degrees, extreme_fis, quantity_refusal, random_fis,
-    rule_strength, sampled_rules,
+    EXTREME_DOMAINS, brute_force_raw, cell_bounds, cell_points, end_degrees, extreme_fis,
+    extreme_palette, quantity_refusal, random_fis, rule_strength, sampled_rules,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -192,16 +194,13 @@ def test_infer_matches_brute_force_on_extreme_systems(fis, data):
 def test_candidates_are_exactly_the_rules_that_fire_in_their_cells_on_extreme_systems(fis, data):
     # A rule reads one term per input and each degree is monotone across a
     # cell, so a rule fires somewhere in a cell tuple exactly when it fires
-    # where each of its terms is greatest: at a point cell's cut, or at one
-    # of an open cell's two floats next to a cut.
+    # where each of its terms is greatest: at its cell's least or greatest
+    # float.
     cells, ends = [], []
     for var in fis.inputs:
-        # the cell of a float: an open cell between two adjacent floats holds none
         cell = var._locate(data.draw(st.sampled_from(cell_points(var)), label=var.name))
-        left, right = var._cells[0][cell // 2], var._cells[0][(cell + 1) // 2]
         cells.append(cell)
-        ends.append({math.nextafter(left, right), math.nextafter(right, left)} if cell % 2
-                    else {left})
+        ends.append(set(cell_bounds(var, cell)))
     fired = set()
     for point in itertools.product(*ends):
         values = {var.name: x for var, x in zip(fis.inputs, point)}
@@ -284,15 +283,27 @@ def test_export_surface_writes_the_grid_cell_by_cell(seed, operator, flow_steps,
     )
 
 
+epsilons = st.sampled_from([0.0, 0.05, 0.25, 0.49999999999999994])
+
+
 @PROPERTY_SETTINGS
-@given(
-    seed=seeds,
-    operator=operators,
-    epsilon=st.sampled_from([0.0, 0.05, 0.25, 0.49999999999999994]),
-    data=st.data(),
-)
+@given(seed=seeds, operator=operators, epsilon=epsilons, data=st.data())
 def test_one_classifier_answers_each_point_as_a_fresh_classify(seed, operator, epsilon, data):
-    fis = system(seed, operator, min_inputs=2, max_inputs=2)
+    check_classifier_walk(system(seed, operator, min_inputs=2, max_inputs=2), epsilon, data)
+
+
+@PROPERTY_SETTINGS
+@given(fis=extreme_systems, epsilon=epsilons, data=st.data())
+def test_one_classifier_answers_each_point_as_a_fresh_classify_on_extreme_systems(
+    fis, epsilon, data
+):
+    check_classifier_walk(fis, epsilon, data)
+
+
+def check_classifier_walk(fis, epsilon, data):
+    """One ``classifier`` answers a walk over points of every cell, and the
+    walk back, as a fresh ``classify`` answers each point; the walk's
+    repeats reach the classifier's memo of decided cell tuples."""
     axes = [st.sampled_from(cell_points(var)) for var in fis.inputs]
     walk = data.draw(st.lists(st.tuples(*axes), min_size=1, max_size=60), label="walk")
     rate = classifier(fis, epsilon)
@@ -301,6 +312,25 @@ def test_one_classifier_answers_each_point_as_a_fresh_classify(seed, operator, e
         expected = fz.classify(fis, flow, speed, epsilon)
         assert (repr(raw), level, boundary) == (repr(expected.raw), expected.level,
                                                 expected.boundary)
+
+
+# Each extreme domain, and each span inside one between two breakpoints of
+# its palette, down to two adjacent floats.
+extreme_domains = sorted({
+    pair
+    for domain in EXTREME_DOMAINS
+    for pair in itertools.combinations(extreme_palette(*domain), 2)
+})
+
+
+@PROPERTY_SETTINGS
+@given(domain=st.sampled_from(extreme_domains), steps=st.sampled_from([2, 11, 13, 100, 1001]))
+def test_grid_value_runs_from_lo_to_hi_without_falling_on_extreme_domains(domain, steps):
+    lo, hi = domain
+    values = [grid_value(lo, hi, steps, i) for i in range(steps)]
+    assert values[0] == lo and values[-1] == hi
+    assert all(map(math.isfinite, values))
+    assert values == sorted(values)
 
 
 # Small integers make core samples land exactly on rectangle edges and on
