@@ -158,11 +158,6 @@ class FuzzyVariable:
     def term_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
 
-    def _cell_degrees(self, x: float) -> tuple[int, list[float]]:
-        """``(_locate(x), _fill(cell, x))``: x's cell and every term's degree."""
-        cell = self._locate(x)
-        return cell, self._fill(cell, x)
-
     def _locate(self, x: float) -> int:
         """The cell holding x, the last whose least float is not above x;
         OutOfDomainError if x (NaN too) is off the domain."""

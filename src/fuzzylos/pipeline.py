@@ -15,6 +15,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, groupby
 
 from .engine import OutOfDomainError, SugenoFis, grid_value
@@ -321,55 +322,55 @@ def export_surface(fis: SugenoFis, flow_steps: int, speed_steps: int) -> str:
     raise ValueError, and a system without exactly two inputs (flow first)
     or without rules raises FisConfigError.
 
-    Each speed and each flow is fuzzified once, domain check and cell lookup
-    included.  A run is a stretch of consecutive grid values with equal
-    ``_cell_degrees``, cell and degrees; the grids ascend, so equal keys are
-    adjacent, and so are the runs of one cell.  Once per flow cell each speed
-    cell's record is read into a row of one entry per speed cell, in grid
-    order: a decided pair's tails, speed and raw text, built once per speed
-    cell and raw ``repr`` (0.0 == -0.0) and shared by every flow cell giving
-    that text; or an undecided pair's candidates and speed runs.  Each flow
-    run walks that row once.  Per undecided speed run the kernel ``infer``
-    uses, a pure function of its inputs, runs once, and the raw value is
-    formatted once for all the run's speeds; degrees are never NaN or -0.0,
-    so equal keys are identical inputs and each value is bit-identical to
-    ``infer``.
+    Each speed and each flow is located once, by ``_locate``, which checks
+    the domain, and filled once, by ``_fill``.  Each axis is grouped by cell,
+    then within a cell into runs of consecutive values with equal degrees;
+    the grids ascend, so each cell is one group.  At the top of each flow
+    cell each speed cell's record is read into a row of one entry per speed
+    cell, in grid order: a decided pair's tails, speed and raw text, built
+    once per speed cell and raw ``repr`` (0.0 == -0.0) and shared by every
+    flow cell giving that text; or an undecided pair's candidates and speed
+    runs.  Each flow run walks that row once.  Per undecided pair of runs
+    the kernel ``infer`` uses, a pure function of its inputs, runs once, and
+    the raw value is formatted once for all the speed run's values; degrees
+    are never NaN or -0.0, so equal degrees are identical inputs and each
+    value is bit-identical to ``infer``.
     """
     if not all(type(steps) is int and steps >= 2 for steps in (flow_steps, speed_steps)):
         raise ValueError("surface export needs at least 2 steps per axis")
     flow_var, speed_var = los_inputs(fis)
     fis.check_rules()
     speeds = (grid_value(*speed_var.domain, speed_steps, j) for j in range(speed_steps))
-    speed_cells: dict[int, list] = {}  # cell: its runs' degrees and speed texts
-    for (speed_cell, degrees), run in groupby(speeds, speed_var._cell_degrees):
-        speed_cells.setdefault(speed_cell, []).append((degrees, [f",{speed!r}," for speed in run]))
+    speed_cells = []  # (cell, its runs' degrees and speed texts), in grid order
+    for cell, values in groupby(speeds, speed_var._locate):
+        runs = groupby(values, partial(speed_var._fill, cell))
+        speed_cells.append((cell, [(degrees, [f",{s!r}," for s in run]) for degrees, run in runs]))
     record, fire = fis._record, fis._fire
     flows = (grid_value(*flow_var.domain, flow_steps, i) for i in range(flow_steps))
     lines = ["flow_vph,speed_kmh,raw_los"]
-    cell, shared = None, {}
-    for (flow_cell, flow_degrees), run in groupby(flows, flow_var._cell_degrees):
-        if flow_cell != cell:
-            # per speed cell: its decided tails, or what firing its runs needs
-            cell, row = flow_cell, []
-            for speed_cell, speed_runs in speed_cells.items():
-                candidates, decided = record((flow_cell, speed_cell))
-                if decided:
-                    key = speed_cell, repr(decided[0])  # the raw's text, as 0.0 == -0.0
-                    if key not in shared:
-                        shared[key] = [t + key[1] for _, texts in speed_runs for t in texts]
-                    row.append((shared[key], None, ()))
-                else:
-                    row.append(((), candidates, speed_runs))
-        tails = []
-        for decided_tails, candidates, speed_runs in row:
-            tails += decided_tails
-            for degrees, texts in speed_runs:
-                raw_text = repr(fire(candidates, (flow_degrees, degrees))[0])
-                for speed_text in texts:
-                    tails.append(speed_text + raw_text)
-        for flow in run:
-            flow_text = repr(flow)
-            lines.append(flow_text + ("\n" + flow_text).join(tails))
+    shared = {}
+    for flow_cell, values in groupby(flows, flow_var._locate):
+        row = []  # per speed cell: its decided tails, or what firing its runs needs
+        for speed_cell, speed_runs in speed_cells:
+            candidates, decided = record((flow_cell, speed_cell))
+            if decided:
+                key = speed_cell, repr(decided[0])  # the raw's text, as 0.0 == -0.0
+                if key not in shared:
+                    shared[key] = [t + key[1] for _, texts in speed_runs for t in texts]
+                row.append((shared[key], None, ()))
+            else:
+                row.append(((), candidates, speed_runs))
+        for flow_degrees, run in groupby(values, partial(flow_var._fill, flow_cell)):
+            tails = []
+            for decided_tails, candidates, speed_runs in row:
+                tails += decided_tails
+                for degrees, texts in speed_runs:
+                    raw_text = repr(fire(candidates, (flow_degrees, degrees))[0])
+                    for speed_text in texts:
+                        tails.append(speed_text + raw_text)
+            for flow in run:
+                flow_text = repr(flow)
+                lines.append(flow_text + ("\n" + flow_text).join(tails))
     return "\n".join(lines) + "\n"
 
 

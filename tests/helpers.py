@@ -140,7 +140,9 @@ def extreme_variable(rng: random.Random, name: str) -> FuzzyVariable:
     """A variable on one of ``EXTREME_DOMAINS`` whose 1 to 4 terms take their
     breakpoints from its ``extreme_palette``, drawn with repeats, so that
     breakpoints coincide; some terms have a vertical shoulder, some a support
-    ending on a domain end, and some start where the previous term ends."""
+    ending on a domain end, and some start where the previous term ends.
+    Each zero breakpoint takes its sign on its own draw, so one variable can
+    hold both 0.0 and -0.0."""
     lo, hi = rng.choice(EXTREME_DOMAINS)
     palette = extreme_palette(lo, hi)
     mfs: list[TrapezoidMF] = []
@@ -156,7 +158,7 @@ def extreme_variable(rng: random.Random, name: str) -> FuzzyVariable:
             b = a
         if rng.random() < 0.25:
             c = d
-        mfs.append(TrapezoidMF(a, b, c, d))
+        mfs.append(TrapezoidMF(*(rng.choice((0.0, -0.0)) if p == 0 else p for p in (a, b, c, d))))
     terms = tuple((f"T{j}", mf) for j, mf in enumerate(mfs))
     return FuzzyVariable(name=name, unit="", domain=(lo, hi), terms=terms)
 

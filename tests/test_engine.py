@@ -591,10 +591,11 @@ def test_cell_degrees_equal_every_term_degree_on_random_systems():
                 points += [cut, math.nextafter(cut, -math.inf), math.nextafter(cut, math.inf)]
             for x in filter(lambda x: lo <= x <= hi, points):
                 expected = repr([mf.degree(x) for _, mf in var.terms])
-                assert repr(var._cell_degrees(x)[1]) == expected
+                cell = var._locate(x)
+                assert repr(var._fill(cell, x)) == expected
                 # the cell's row is copied, never handed out
-                var._cell_degrees(x)[1][:] = [-1.0] * len(var.terms)
-                assert repr(var._cell_degrees(x)[1]) == expected
+                var._fill(cell, x)[:] = [-1.0] * len(var.terms)
+                assert repr(var._fill(cell, x)) == expected
 
 
 def test_a_zero_degree_at_a_cut_reads_0_0_at_either_signed_zero():
@@ -602,7 +603,8 @@ def test_a_zero_degree_at_a_cut_reads_0_0_at_either_signed_zero():
     # rising from 0.0; the cut's constants hold 0.0 for both zeros
     for lo in (-0.0, -1.0):
         var = FuzzyVariable("X", "", (lo, 1.0), (("A", TrapezoidMF(0.0, 0.5, 0.6, 1.0)),))
-        assert repr(var._cell_degrees(-0.0)[1]) == repr(var._cell_degrees(0.0)[1]) == "[0.0]"
+        degrees = [var._fill(var._locate(x), x) for x in (-0.0, 0.0)]
+        assert repr(degrees[0]) == repr(degrees[1]) == "[0.0]"
 
 
 def test_matches_brute_force_on_random_systems():
@@ -762,7 +764,7 @@ def test_candidates_are_exactly_the_fired_rules_on_the_shipped_system():
     ]
     for point in itertools.product(*axes):
         result = infer(fis, {var.name: x for var, x in zip(fis.inputs, point)})
-        cells = tuple(var._cell_degrees(x)[0] for var, x in zip(fis.inputs, point))
+        cells = tuple(var._locate(x) for var, x in zip(fis.inputs, point))
         assert len(fis._records[cells][0]) == result.fired_rule_count
     # 39 flow cells by 31 speed cells, each visited once
     assert len(fis._records) == math.prod(len(var._cells[1]) for var in fis.inputs) == 1209
@@ -772,6 +774,14 @@ def test_a_surface_fills_at_most_one_memo_entry_per_cell_tuple():
     fis = parse_fis(default_fis_text())
     export_surface(fis, 200, 200)
     assert 0 < len(fis._records) <= math.prod(len(var._cells[1]) for var in fis.inputs)
+
+
+def grid_runs(var, steps):
+    """Per cell that ``var``'s grid of ``steps`` values hits, in grid order,
+    its runs: stretches of consecutive values with equal degrees."""
+    values = (grid_value(*var.domain, steps, i) for i in range(steps))
+    keys = [(cell := var._locate(x), var._fill(cell, x)) for x in values]
+    return collections.Counter(cell for (cell, _), _ in itertools.groupby(keys))
 
 
 def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_model):
@@ -822,12 +832,7 @@ def test_every_caller_fires_through_the_one_kernel(monkeypatch, default_model):
 
     # A dense grid fires at most once per pair of runs: consecutive grid
     # values whose cell and degrees are equal share one kernel call.
-    def runs(var):
-        return len(list(itertools.groupby(
-            var._cell_degrees(grid_value(*var.domain, 100, i)) for i in range(100)
-        )))
-
-    flow_runs, speed_runs = map(runs, fis.inputs)
+    flow_runs, speed_runs = (sum(grid_runs(var, 100).values()) for var in fis.inputs)
     assert (flow_runs, speed_runs) == (46, 61)
     export_surface(fis, 100, 100)
     assert count(lambda: export_surface(fis, 100, 100)) == 1146 < flow_runs * speed_runs
@@ -853,3 +858,51 @@ def test_a_surface_reads_each_cell_pairs_record_once_per_flow_cell(monkeypatch):
     )
     assert (flow_cells, speed_cells) == (22, 17)
     assert len(reads) == len(set(reads)) == flow_cells * speed_cells == 374
+
+
+@pytest.mark.parametrize("operator", ["min", "product"])
+def test_a_surface_reads_each_cell_pair_once_and_fires_once_per_undecided_pair_of_runs(
+    monkeypatch, operator
+):
+    # Beyond the shipped system: with a warm memo, an export reads one record
+    # per pair of flow cell and speed cell it hits, and fires the kernel once
+    # per pair of runs, stretches of equal cell and degrees, in an undecided
+    # pair of cells.
+    rng = random.Random(36)
+    systems = [
+        dataclasses.replace(random_fis(rng, max_inputs=2, min_inputs=2), and_operator=operator)
+        for _ in range(20)
+    ]
+    systems += [extreme_fis(random.Random(seed), operator) for seed in range(20)]
+    reads, fired, total = [], [], 0
+    record, fire = SugenoFis._record, SugenoFis._fire
+
+    def counting_record(self, cells):
+        reads.append(cells)
+        return record(self, cells)
+
+    def counting_fire(self, candidates, degrees):
+        fired.append(candidates)
+        return fire(self, candidates, degrees)
+
+    for fis in systems:
+        for flow_steps, speed_steps in ((13, 11), (60, 60)):
+            export_surface(fis, flow_steps, speed_steps)
+            flow_runs = grid_runs(fis.inputs[0], flow_steps)
+            speed_runs = grid_runs(fis.inputs[1], speed_steps)
+            undecided = [
+                flow_runs[flow_cell] * speed_runs[speed_cell]
+                for flow_cell in flow_runs
+                for speed_cell in speed_runs
+                if fis._records[flow_cell, speed_cell][1] is None
+            ]
+            reads.clear()
+            fired.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(SugenoFis, "_record", counting_record)
+                patch.setattr(SugenoFis, "_fire", counting_fire)
+                export_surface(fis, flow_steps, speed_steps)
+            assert len(reads) == len(set(reads)) == len(flow_runs) * len(speed_runs)
+            assert len(fired) == sum(undecided)
+            total += len(fired)
+    assert total > 0

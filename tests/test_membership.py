@@ -115,9 +115,9 @@ def test_variable_fuzzify_and_lookup():
         (0.0, 80.0),
         (("slow", TrapezoidMF(0, 0, 20, 40)), ("fast", TrapezoidMF(30, 50, 80, 80))),
     )
-    assert var._cell_degrees(35.0)[1] == [0.25, 0.25]
+    assert var._fill(var._locate(35.0), 35.0) == [0.25, 0.25]
     slow = dict(var.terms)["slow"]
     assert (slow.b, slow.c) == (0.0, 20.0)
-    assert var._cell_degrees(80.0)[1] == [0.0, 1.0]
+    assert var._fill(var._locate(80.0), 80.0) == [0.0, 1.0]
     with pytest.raises(OutOfDomainError, match=r"Speed = 80.1 outside domain \[0.0, 80.0\]"):
-        var._cell_degrees(80.1)
+        var._locate(80.1)

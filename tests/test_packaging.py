@@ -1,6 +1,7 @@
 """The package stays dependency free: ``src/fuzzylos`` imports only the
 standard library, and ``pyproject.toml`` declares ``dependencies = []``.
-No module but ``engine`` imports a private engine name.  ``__all__`` names
+No module but ``engine`` imports a private engine name, and the others
+read a system through four private engine methods alone.  ``__all__`` names
 exactly the public classes and functions the package binds.
 
 ``pyproject.toml`` is read with a plain text match, since ``tomllib`` is
@@ -39,21 +40,36 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_only_the_engine_uses_its_private_names():
-    """Every module but ``engine`` reaches the memo and the kernel through
-    ``SugenoFis._record`` and ``SugenoFis._fire``, and the cells through
-    ``FuzzyVariable``'s methods, so no module imports a private engine name."""
-    private = []
+    """No module but ``engine`` imports a private engine name, and of the
+    private names the engine's classes define, the other modules read
+    exactly four: ``FuzzyVariable._locate`` and ``_fill``, and
+    ``SugenoFis._record`` and ``_fire``.  The cell tables, the compiled
+    rules and the memo are the engine's alone."""
+    engine = ast.parse((ROOT / "src" / "fuzzylos" / "engine.py").read_text(encoding="utf-8"))
+    defined = set()
+    for cls in (node for node in engine.body if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    assert {"_cells", "_compiled", "_records"} <= private
+    imported, read = [], set()
     for path in sorted((ROOT / "src" / "fuzzylos").glob("*.py")):
         if path.name == "engine.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "engine":
-                private += [
+                imported += [
                     f"{path.name}: {alias.name}"
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
-    assert private == []
+            elif isinstance(node, ast.Attribute) and node.attr in private:
+                read.add(node.attr)
+    assert imported == []
+    assert read == {"_locate", "_fill", "_record", "_fire"}
 
 
 def test_pyproject_declares_no_dependencies():

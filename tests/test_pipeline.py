@@ -454,8 +454,9 @@ class TestSurface:
         # rows must not merge: their raw values differ somewhere.
         flow_var = default_fis.inputs[0]
         flows = [grid_value(*flow_var.domain, 150, i) for i in range(150)]
-        (cell, low), (next_cell, high) = map(flow_var._cell_degrees, flows[40:42])
-        assert cell == next_cell and low != high
+        cell, next_cell = map(flow_var._locate, flows[40:42])
+        assert cell == next_cell
+        assert flow_var._fill(cell, flows[40]) != flow_var._fill(cell, flows[41])
         cells = surfaces[0][1:]
         row, next_row = ([line.rsplit(",", 1)[1] for line in cells[150 * i:150 * (i + 1)]]
                          for i in (40, 41))

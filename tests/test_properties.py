@@ -167,7 +167,7 @@ def test_a_points_candidates_are_exactly_its_fired_rules(fis, data):
     near += [math.nextafter(p, 6.0) for p in range(1, 6)]
     point = [data.draw(st.sampled_from(quarters + near), label=var.name) for var in fis.inputs]
     result = fz.infer(fis, {var.name: x for var, x in zip(fis.inputs, point)})
-    cells = tuple(var._cell_degrees(x)[0] for var, x in zip(fis.inputs, point))
+    cells = tuple(var._locate(x) for var, x in zip(fis.inputs, point))
     assert len(fis._records[cells][0]) == result.fired_rule_count
 
 
