@@ -103,7 +103,10 @@ class FisDocument:
     and_operator: str = "min"
 
 
-_TOKEN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_/]*)|(?P<number>-?[0-9]+(?:\.[0-9]+)?)|\S")
+# Every token starts at a non-blank; the leading lookahead says so, which
+# lets the scanner pass over blanks without trying each alternative there.
+_TOKEN_RE = re.compile(r"(?=\S)(?:(?P<name>[A-Za-z_][A-Za-z0-9_/]*)"
+                       r"|(?P<number>-?[0-9]+(?:\.[0-9]+)?)|\S)")
 
 
 class _Line:
@@ -169,9 +172,11 @@ class _Line:
 
 
 def _statements(source: str):
-    """A ``_Line`` for each line of ``source`` that holds a token."""
-    for number, raw in enumerate(source.splitlines(), start=1):
-        tokens = list(_TOKEN_RE.finditer(raw.split("#", 1)[0]))
+    """A ``_Line`` for each line of ``source`` that holds a token.  A line
+    ends at LF, CRLF or CR and nowhere else; the tokenizer reads any other
+    line or paragraph separator as a blank."""
+    for number, raw in enumerate(source.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        tokens = list(_TOKEN_RE.finditer(raw.split("#", 1)[0] if "#" in raw else raw))
         if tokens:
             yield _Line(number, tokens)
 
@@ -207,7 +212,7 @@ def parse(source: str) -> FisDocument:
                 raise ParseError(line.lineno, col, "mf declaration before any variable")
             term = line.take("a term name", "name")
             line.keyword("trap")
-            points = tuple(line.number("a breakpoint") for _ in range(4))
+            points = tuple(map(line.number, ("a breakpoint",) * 4))
             line.end()
             current_var.mfs.append(MfDecl(line.lineno, term.start() + 1, term[0], points))
         elif word == "rule":
@@ -303,10 +308,10 @@ def build_fis(doc: FisDocument) -> SugenoFis:
             inputs=tuple(var for _, var in inputs),
             output_name=output.name,
             output_domain=(output.lo, output.hi),
-            rules=tuple(
-                Rule(tuple((c.variable, c.term) for c in stmt.clauses), stmt.consequent)
+            rules=tuple([
+                Rule(tuple([(c.variable, c.term) for c in stmt.clauses]), stmt.consequent)
                 for stmt in doc.rules
-            ),
+            ]),
             and_operator=doc.and_operator,
         )
     except FisConfigError as exc:
@@ -340,7 +345,8 @@ def parse_fis(source: str) -> SugenoFis:
 def _read_text(path) -> str:
     """The text of a UTF-8 file without a leading byte-order mark, its
     newlines kept as they are: the CSV reader splits records itself, and
-    ``str.splitlines`` splits CRLF and a lone CR as universal newlines do."""
+    the ``.fis`` and ``.los`` line lexer ends a line at LF, CRLF or a lone
+    CR, as universal newlines do, and at nothing else."""
     with open(path, encoding="utf-8-sig", newline="") as handle:
         return handle.read()
 

@@ -303,18 +303,18 @@ class SugenoFis:
         for k, rule in enumerate(self.rules):
             clause_vars = set()
             clauses = []
-            for c, (var_name, term_name) in enumerate(rule.antecedent):
-                where = ("rules", k, c)
-                position, term_index = slots.get(var_name, (None, {}))
-                if var_name in clause_vars:
-                    problems.append((where, f"duplicate clause for variable {var_name!r}"))
+            for c, (name, term) in enumerate(rule.antecedent):
+                # a constant default, and a location built only for a problem
+                position, term_index = slots.get(name, (None, ()))
+                if name in clause_vars:
+                    problems.append((("rules", k, c), f"duplicate clause for variable {name!r}"))
                 elif position is None:
-                    problems.append((where, f"unknown input variable {var_name!r}"))
-                elif term_name not in term_index:
-                    problems.append((where, f"variable {var_name!r} has no term {term_name!r}"))
+                    problems.append((("rules", k, c), f"unknown input variable {name!r}"))
+                elif term not in term_index:
+                    problems.append((("rules", k, c), f"variable {name!r} has no term {term!r}"))
                 else:
-                    clauses.append((position, term_index[term_name]))
-                clause_vars.add(var_name)
+                    clauses.append((position, term_index[term]))
+                clause_vars.add(name)
             if lo < hi and not lo <= rule.consequent <= hi:
                 problems.append((
                     ("rules", k),

@@ -18,7 +18,6 @@ functions that do not fit the regions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from functools import partial
 from math import ceil, inf
 
@@ -118,14 +117,14 @@ def generate_rules(
     for flow_term, flow_mf in flow_var.terms:
         flow_counts = _axis_counts(flow_mf, flow_intervals, grid)
         for (speed_term, _), speed_count in zip(speed_var.terms, speed_counts):
-            counts: Counter[int] = Counter()
+            counts: dict[int, int] = {}
             for level, n_flow, n_speed in zip(levels, flow_counts, speed_count):
                 if n_flow and n_speed:
-                    counts[level] += n_flow * n_speed
+                    counts[level] = counts.get(level, 0) + n_flow * n_speed
             if not counts:
                 continue
-            level, majority = counts.most_common(1)[0]
-            if majority < agreement * sum(counts.values()):
+            level = max(counts, key=counts.__getitem__)
+            if counts[level] < agreement * sum(counts.values()):
                 raise RuleConflictError(flow_term, speed_term, counts, agreement)
             rules.append(
                 Rule(

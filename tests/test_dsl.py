@@ -158,6 +158,35 @@ def test_files_load_whatever_their_line_ends(tmp_path, default_fis, default_mode
         fz.load_regions(paths["los"])
 
 
+# characters str.splitlines also breaks at; in .fis and .los text they are blanks
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("blank", NOT_LINE_ENDS)
+def test_fis_lines_end_only_at_lf_crlf_or_cr(blank):
+    # the directive after the blank is part of the comment, not a second line
+    doc = parse(VALID_DOC.replace(
+        "set and_operator min", f"set and_operator min  # old{blank}set and_operator product"
+    ))
+    assert doc.and_operator == "min"
+    # between two tokens it separates them as a space does
+    assert parse(VALID_DOC.replace("LoS domain", f"LoS{blank}domain")) == parse(VALID_DOC)
+    # and it starts no line, so an error after it keeps its line number
+    with pytest.raises(ParseError) as info:
+        parse(f"{blank}\nvariable input X domain 0\n")
+    assert (info.value.line, info.value.column) == (2, 26)
+
+
+@pytest.mark.parametrize("blank", NOT_LINE_ENDS)
+def test_los_lines_end_only_at_lf_crlf_or_cr(blank):
+    region = "region 1 flow 0 1500 speed 50 80\n"
+    model = fz.parse_regions(f"lanes 3 # x{blank}lanes 4\n{region}")
+    assert model.lanes == 3
+    assert fz.parse_regions(f"lanes{blank}3\n{region}") == model
+    with pytest.raises(fz.RegionError, match="^line 2, column 7: expected the lane count, got 'x'$"):
+        fz.parse_regions(f"lanes 3{blank}\nlanes x\n")
+
+
 def test_three_input_documents_parse():
     source = """\
 variable input A domain 0 1

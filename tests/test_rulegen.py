@@ -112,16 +112,22 @@ def test_even_split_with_full_agreement_is_a_conflict():
 
 
 def test_majority_wins_at_moderate_agreement():
-    # a 9:2 speed-row split (grid 11) passes at 0.75 with the dominant level
-    model = LosRegionModel(
-        regions=((1, Rect(0, 10, 0, 9)), (2, Rect(0, 10, 9, 10))),
-    )
+    # a 9:2 speed-row split (grid 11) passes at 0.75 with the dominant level,
+    # whichever level the first box in order carries
+    majority, minority = (1, Rect(0, 10, 0, 9)), (2, Rect(0, 10, 9, 10))
     flow_var = FuzzyVariable("F", "", (0.0, 10.0), (("all", TrapezoidMF(0, 0, 10, 10)),))
     speed_var = FuzzyVariable("S", "", (0.0, 10.0), (("all", TrapezoidMF(0, 0, 10, 10)),))
-    rules = generate_rules(model, flow_var, speed_var, grid=11, agreement=0.75)
-    assert rules == (fz.Rule((("F", "all"), ("S", "all")), 1.0),)
-    with pytest.raises(RuleConflictError):
-        generate_rules(model, flow_var, speed_var, grid=11, agreement=0.95)
+    for boxes in ((majority, minority), (minority, majority)):
+        model = LosRegionModel(regions=boxes)
+        rules = generate_rules(model, flow_var, speed_var, grid=11, agreement=0.75)
+        assert rules == (fz.Rule((("F", "all"), ("S", "all")), 1.0),)
+        with pytest.raises(RuleConflictError) as info:
+            generate_rules(model, flow_var, speed_var, grid=11, agreement=0.95)
+        # a plain dict in box order, while the message lists levels in order
+        assert type(info.value.counts) is dict
+        assert list(info.value.counts) == [level for level, _ in boxes]
+        assert info.value.counts == {1: 99, 2: 22}
+        assert "(LoS 1: 99, LoS 2: 22)" in str(info.value)
 
 
 def test_parameter_validation(default_model, default_fis):
