@@ -4,9 +4,12 @@ Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the PASS
 lines as they happen).
 """
 
+import dataclasses
 import random
 import struct
 import time
+
+import pytest
 
 import fuzzylos as fz
 from fuzzylos import TrapezoidMF
@@ -87,8 +90,10 @@ def test_c3_output_range_property(default_fis):
     print("ACCEPTANCE 3 output-range-property: PASS (10000 random inputs)")
 
 
-def test_c4_engine_oracle_equivalence(default_fis):
-    flow_var, speed_var = default_fis.inputs
+@pytest.mark.parametrize("operator", ["min", "product"])
+def test_c4_engine_oracle_equivalence(default_fis, operator):
+    fis = dataclasses.replace(default_fis, and_operator=operator)
+    flow_var, speed_var = fis.inputs
     flo, fhi = flow_var.domain
     slo, shi = speed_var.domain
     worst = 0.0
@@ -97,12 +102,15 @@ def test_c4_engine_oracle_equivalence(default_fis):
         for j in range(101):
             speed = slo + (shi - slo) * j / 100
             point = {flow_var.name: flow, speed_var.name: speed}
-            expected, fired = brute_force_raw(default_fis, point)
-            result = fz.infer(default_fis, point)
+            expected, fired = brute_force_raw(fis, point)
+            result = fz.infer(fis, point)
             assert result.fired_rule_count == fired
             worst = max(worst, abs(result.raw - expected))
             assert abs(result.raw - expected) <= 1e-12
-    print(f"ACCEPTANCE 4 engine-oracle-equivalence: PASS (101x101 grid, worst |diff|={worst:.2e})")
+    print(
+        f"ACCEPTANCE 4 engine-oracle-equivalence: PASS "
+        f"({operator}, 101x101 grid, worst |diff|={worst:.2e})"
+    )
 
 
 def test_c5_plateau_exactness(default_fis):
@@ -185,18 +193,18 @@ def test_c7_dsl_roundtrip_and_fuzz():
     print("ACCEPTANCE 7 dsl-roundtrip-and-fuzz: PASS (100 round-trips, 1000 fuzz inputs)")
 
 
-def test_c8_surface_fidelity(default_fis, capsys, tmp_path):
+@pytest.mark.parametrize("operator", ["min", "product"])
+def test_c8_surface_fidelity(default_fis, capsys, tmp_path, operator):
+    fis = dataclasses.replace(default_fis, and_operator=operator)
     out_path = tmp_path / "surface.csv"
-    assert main(["surface", "--steps", "50", "--out", str(out_path)]) == 0
+    assert main(["surface", "--steps", "50", "--and-op", operator, "--out", str(out_path)]) == 0
     capsys.readouterr()
     lines = out_path.read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 2501
-    flow_name = default_fis.inputs[0].name
-    speed_name = default_fis.inputs[1].name
+    flow_name = fis.inputs[0].name
+    speed_name = fis.inputs[1].name
     for line in lines[1:]:
         flow_text, speed_text, raw_text = line.split(",")
-        result = fz.infer(
-            default_fis, {flow_name: float(flow_text), speed_name: float(speed_text)}
-        )
+        result = fz.infer(fis, {flow_name: float(flow_text), speed_name: float(speed_text)})
         assert bits(float(raw_text)) == bits(result.raw), line
-    print("ACCEPTANCE 8 surface-fidelity: PASS (2500 cells bit-identical to infer)")
+    print(f"ACCEPTANCE 8 surface-fidelity: PASS ({operator}, 2500 cells bit-identical to infer)")

@@ -126,17 +126,22 @@ class TestLabel:
         assert lines[2].endswith(",-")
 
     def test_crlf_file_keeps_a_quoted_carriage_return(self, capsys, tmp_path):
+        # and a quoted comma and doubled quotes, each byte for byte
         csv_path = tmp_path / "crlf.csv"
         csv_path.write_bytes(
-            b'timestamp,speed_kmh,flow_vph\r\n"t\r0",65,700\r\nt1,60,2000\r\nt2,50,3500\r\n'
+            b'timestamp,speed_kmh,flow_vph\r\n"t\r0",65,700\r\nt1,60,2000\r\n'
+            b'"t,""2""",55,1500\r\nt2,50,3500\r\n'
         )
         out_path = tmp_path / "labeled.csv"
         code, _, _ = run(capsys, "label", str(csv_path), "--out", str(out_path))
         assert code == 0
-        assert b'"t\r0"' in out_path.read_bytes()
+        labeled = out_path.read_bytes()
+        assert b'"t\r0"' in labeled
+        assert b'\n"t,""2""",55,1500,2\n' in labeled
         code, out, _ = run(capsys, "evaluate", str(out_path))
         assert code == 0
-        assert "points:         3" in out
+        assert "points:         4" in out
+        assert "accuracy:       100.0000%" in out
 
     def test_malformed_csv_leaves_no_partial_output(self, capsys, tmp_path):
         csv_path = tmp_path / "data.csv"
@@ -166,6 +171,9 @@ class TestEvaluate:
         )
         assert code == 0
         payload = json.loads((tmp_path / "report.txt.json").read_text(encoding="utf-8"))
+        model = fz.default_regions()
+        expected = fz.evaluate(fz.default_fis(), model, fz.generate_synthetic(model, 3825, 1))
+        assert payload == expected.to_dict()
         assert payload["accuracy"] >= 0.99
         assert payload["mismatches"] >= 10
         assert "accuracy" in out_path.read_text(encoding="utf-8")
@@ -181,12 +189,25 @@ class TestEvaluate:
         assert "mismatches:     1" in out
 
     def test_bad_rows_are_skipped_on_stderr(self, capsys, tmp_path):
+        # one bad row of each kind; blank lines are no rows
         csv_path = tmp_path / "data.csv"
-        csv_path.write_text(HEADER + "t0,65.0,700\nt1,oops,700\n", encoding="utf-8")
+        csv_path.write_text(
+            "timestamp,speed_kmh,flow_vph,los\nt0,65,700,1\nt1,fast,700,-\nt2,nan,700,-\n"
+            "t3,65,-5,-\nt4,65,700\nt5,65,700,9\nt6," + "9" * 200000 + ",700,-\n\n \n"
+            "t7,60,2000,\n",
+            encoding="utf-8",
+        )
         code, out, err = run(capsys, "evaluate", str(csv_path))
         assert code == 0
-        assert err == "skipped: line 3: speed_kmh 'oops' is not a number\n"
-        assert "evaluated:      1" in out
+        assert err == (
+            "skipped: line 3: speed_kmh 'fast' is not a number\n"
+            "skipped: line 4: speed_kmh must be finite, got 'nan'\n"
+            "skipped: line 5: flow_vph must be non-negative, got '-5'\n"
+            "skipped: line 6: expected 4 fields, got 3\n"
+            "skipped: line 7: los must be 1..6 or '-', got '9'\n"
+            "skipped: line 8: unparseable CSV (field larger than field limit (131072))\n"
+        )
+        assert "points:         2" in out
 
     def test_empty_dataset_is_exit_2(self, capsys, tmp_path):
         csv_path = tmp_path / "empty.csv"
@@ -341,6 +362,14 @@ def test_every_exported_error_is_a_user_error():
     assert len(errors) >= 7
     for error in errors:
         assert issubclass(error, ValueError), error
+
+
+def test_an_internal_error_is_exit_1(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("fuzzylos.cli._cmd_infer", broken)
+    assert run(capsys, "infer", "600", "38") == (1, "", "internal error: boom\n")
 
 
 @pytest.mark.parametrize("command", [

@@ -1,5 +1,6 @@
 """The package stays dependency free: ``src/fuzzylos`` imports only the
-standard library, and ``pyproject.toml`` declares ``dependencies = []``.
+standard library, and ``pyproject.toml`` declares ``dependencies = []``
+and the one console script, ``fuzzylos = "fuzzylos.cli:main"``.
 No module but ``engine`` imports a private engine name, and the others
 read a system through four private engine methods alone.  ``__all__`` names
 exactly the public classes and functions the package binds.
@@ -75,6 +76,12 @@ def test_only_the_engine_uses_its_private_names():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r"^dependencies\s*=.*$", text, re.MULTILINE) == ["dependencies = []"]
+
+
+def test_pyproject_declares_the_console_script():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.findall(r"^\[project\.scripts\]\n(.*)$", text, re.MULTILINE)
+    assert scripts == ['fuzzylos = "fuzzylos.cli:main"']
 
 
 def test_all_names_exactly_the_public_api():
