@@ -42,22 +42,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_label(args: argparse.Namespace) -> int:
+def _cmd_label(args: argparse.Namespace) -> None:
     model = _load_regions_arg(args)
     labeled = label_csv(model, _read_text(args.input))
     _emit(labeled, args.out)
-    return 0
 
 
-def _cmd_infer(args: argparse.Namespace) -> int:
+def _cmd_infer(args: argparse.Namespace) -> None:
     fis = _load_fis_arg(args)
     c = classify(fis, args.flow, args.speed, args.epsilon)
     flags = f"boundary={str(c.boundary).lower()} anomaly={str(c.is_anomaly).lower()}"
     print(f"raw={c.raw:.3f} level={c.label()} {flags}")
-    return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> None:
     if bool(args.input) == (args.synthetic is not None):
         raise ValueError("give either an input CSV or --synthetic N")
     fis = _load_fis_arg(args)
@@ -74,16 +72,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         import json
 
         _emit(json.dumps(report.to_dict(), indent=2) + "\n", args.out + ".json")
-    return 0
 
 
-def _cmd_surface(args: argparse.Namespace) -> int:
+def _cmd_surface(args: argparse.Namespace) -> None:
     fis = _load_fis_arg(args)
     _emit(export_surface(fis, args.steps, args.steps), args.out)
-    return 0
 
 
-def _cmd_genrules(args: argparse.Namespace) -> int:
+def _cmd_genrules(args: argparse.Namespace) -> None:
     model = _load_regions_arg(args)
     text = _read_text(args.fis) if args.fis else default_fis_text()
     # the template's own rules are replaced, so they are never validated
@@ -93,7 +89,6 @@ def _cmd_genrules(args: argparse.Namespace) -> int:
     complete = dataclasses.replace(fis, rules=rules)
     _emit(serialize(complete), args.out)
     print(f"generated {len(rules)} rules", file=sys.stderr)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,13 +161,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

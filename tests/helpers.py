@@ -2,13 +2,15 @@
 an independent brute-force Sugeno evaluator used as the oracle for the
 engine, a sample-by-sample rule generator used as the oracle for
 ``generate_rules``, the reference wording of ``ingest``'s quantity errors,
-the bounds of a variable's cells, points in every cell, and the end degrees
-each cell must hold."""
+the bounds of a variable's cells, points in every cell, the end degrees
+each cell must hold, and seeded one-token mutants of a ``.fis`` or ``.los``
+text."""
 
 from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 from collections import Counter
 
@@ -275,3 +277,33 @@ def quantity_refusal(column: str, text: str) -> str | None:
     if value < 0.0:
         return f"{column} must be non-negative, got {stripped!r}"
     return None
+
+
+# What a mutant puts in place of a token, or next to one, besides the file's
+# own tokens: numbers the grammar refuses or reads apart, lone punctuation, a
+# comment, an overflowing number and Arabic-Indic digits.  ASCII and
+# U+0660-U+0669 only, so that repr is the same on every Python.
+SUBSTITUTES = [
+    "1e4", "+5", "1_000", "-", "[", "]", "=", "\u0661\u0660", "\u0663", "1.5", "-0",
+    "inf", "9" * 400, "#", "0.", ".5", "1.2.3", "x", "_", "a/b", "3", "7", "0",
+]
+# the readers' tokens, as the grammar in dsl's docstring defines them
+TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*|-?[0-9]+(?:\.[0-9]+)?|\S")
+
+
+def token_mutants(text: str, rng: random.Random, count: int):
+    """``count`` copies of ``text``, each with one token outside the
+    comments dropped, duplicated, preceded by another or replaced."""
+    lines = text.splitlines()
+    spots = [
+        (i, m.start(), m.end())
+        for i, line in enumerate(lines)
+        for m in TOKEN.finditer(line.split("#", 1)[0])
+    ]
+    words = SUBSTITUTES + sorted({lines[i][start:end] for i, start, end in spots})
+    for _ in range(count):
+        i, start, end = rng.choice(spots)
+        token, other = lines[i][start:end], rng.choice(words)
+        new = ["", f"{token} {token}", f"{other} {token}", other][rng.randrange(4)]
+        mutant = lines[:i] + [lines[i][:start] + new + lines[i][end:]] + lines[i + 1:]
+        yield "\n".join(mutant) + "\n"

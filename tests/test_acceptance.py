@@ -4,7 +4,9 @@ Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the PASS
 lines as they happen).
 """
 
+import collections
 import dataclasses
+import itertools
 import random
 import struct
 import time
@@ -14,7 +16,7 @@ import pytest
 import fuzzylos as fz
 from fuzzylos import TrapezoidMF
 from fuzzylos.cli import main
-from helpers import brute_force_raw, random_fis
+from helpers import brute_force_raw, random_fis, token_mutants
 
 
 def bits(x: float) -> bytes:
@@ -182,15 +184,32 @@ def test_c7_dsl_roundtrip_and_fuzz():
         assert fz.parse_fis(fz.serialize(fis)) == fis
         done += 1
 
-    for _ in range(1000):
-        blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 300)))
+    # random bytes stop at the parser; one-token mutants of the shipped file
+    # also reach build_fis
+    blobs = (
+        bytes(rng.randrange(256) for _ in range(rng.randrange(0, 300))).decode("latin-1")
+        for _ in range(1000)
+    )
+    mutants = token_mutants(fz.default_fis_text(), random.Random(7007), 1000)
+    outcomes = collections.Counter()
+    for text in itertools.chain(blobs, mutants):
         try:
-            fz.build_fis(fz.parse(blob.decode("latin-1")))
+            fz.build_fis(fz.parse(text))
         except fz.ParseError as exc:
             assert exc.line >= 1 and exc.column >= 1
+            outcomes["parse"] += 1
         except fz.FisValidationError as exc:
+            assert exc.errors
             assert all(e.line >= 1 and e.column >= 1 for e in exc.errors)
-    print("ACCEPTANCE 7 dsl-roundtrip-and-fuzz: PASS (100 round-trips, 1000 fuzz inputs)")
+            outcomes["validation"] += 1
+        else:
+            outcomes["accepted"] += 1
+    assert outcomes["validation"] > 0, outcomes
+    print(
+        f"ACCEPTANCE 7 dsl-roundtrip-and-fuzz: PASS (100 round-trips; 1000 fuzz inputs and 1000 "
+        f"mutants of the shipped file: {outcomes['parse']} parse errors, "
+        f"{outcomes['validation']} validation errors, {outcomes['accepted']} accepted)"
+    )
 
 
 @pytest.mark.parametrize("operator", ["min", "product"])

@@ -1,12 +1,10 @@
 import dataclasses
-import random
 import re
 
 import pytest
 
 import fuzzylos as fz
 from fuzzylos import FisValidationError, ParseError, build_fis, parse, parse_fis, serialize
-from helpers import random_fis
 
 VALID_DOC = """\
 # minimal two-input model
@@ -139,11 +137,6 @@ def test_missing_or_extra_outputs_rejected():
         build_fis(parse(output_with_mf))
 
 
-def test_crlf_and_comments_accepted():
-    fis = parse_fis(VALID_DOC.replace("\n", "\r\n"))
-    assert len(fis.rules) == 1
-
-
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
 def test_files_load_whatever_their_line_ends(tmp_path, default_fis, default_model, newline):
     # files are read with their newlines kept; lines split as with LF
@@ -223,14 +216,10 @@ rule IF A IS t THEN O = 0.125
     assert dict(again.inputs[0].terms)["t"].c == 0.30000000000000004
 
 
-def test_default_config_roundtrips(default_fis):
-    assert parse_fis(serialize(default_fis)) == default_fis
-
-
 def test_rule_order_preserved_verbatim(default_fis):
     text = serialize(default_fis)
     reparsed = parse_fis(text)
-    assert reparsed.rules == default_fis.rules
+    assert reparsed == default_fis
     assert serialize(reparsed) == text
 
 
@@ -258,27 +247,6 @@ def test_serialize_refuses_a_rule_without_clauses(default_fis):
     fis = dataclasses.replace(default_fis, rules=default_fis.rules + (fz.Rule((), 3.0),))
     with pytest.raises(ValueError, match=f"rule {len(fis.rules)}: it has no clause"):
         serialize(fis)
-
-
-def test_random_roundtrips():
-    rng = random.Random(2024)
-    for _ in range(60):
-        fis = random_fis(rng)
-        if not fis.rules:
-            continue
-        assert parse_fis(serialize(fis)) == fis
-
-
-def test_fuzz_never_crashes():
-    rng = random.Random(99)
-    for _ in range(400):
-        blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 200)))
-        try:
-            build_fis(parse(blob.decode("latin-1")))
-        except ParseError as exc:
-            assert exc.line >= 1 and exc.column >= 1
-        except FisValidationError as exc:
-            assert exc.errors
 
 
 def validation_errors(source):

@@ -348,20 +348,6 @@ def test_infer_empty_rule_base_rejected():
         infer(fis, {"Flow": 101.0, "Speed": 5.0})
 
 
-def test_fis_validation_rejects_bad_rules():
-    with pytest.raises(FisConfigError):
-        two_input_fis(rules=(Rule((("Flow", "lo"), ("Flow", "hi")), 1.0),))
-    with pytest.raises(FisConfigError):
-        two_input_fis(rules=(Rule((("Flow", "lo"),), 7.0),))  # outside [0, 6]
-    with pytest.raises(FisConfigError):
-        two_input_fis(rules=(
-            Rule((("Flow", "lo"),), 1.0),
-            Rule((("Flow", "lo"),), 2.0),  # duplicate antecedent
-        ))
-    with pytest.raises(FisConfigError):
-        two_input_fis(rules=(Rule((("Ghost", "lo"),), 1.0),))
-
-
 def test_fis_validation_reports_every_problem_at_its_location():
     fis = two_input_fis()
     with pytest.raises(FisConfigError) as info:
@@ -605,18 +591,6 @@ def test_a_zero_degree_at_a_cut_reads_0_0_at_either_signed_zero():
         var = FuzzyVariable("X", "", (lo, 1.0), (("A", TrapezoidMF(0.0, 0.5, 0.6, 1.0)),))
         degrees = [var._fill(var._locate(x), x) for x in (-0.0, 0.0)]
         assert repr(degrees[0]) == repr(degrees[1]) == "[0.0]"
-
-
-def test_matches_brute_force_on_random_systems():
-    rng = random.Random(23)
-    for _ in range(30):
-        fis = random_fis(rng)
-        for _ in range(60):
-            point = random_point(rng, fis)
-            expected, fired = brute_force_raw(fis, point)
-            result = infer(fis, point)
-            assert result.fired_rule_count == fired
-            assert result.raw == pytest.approx(expected, abs=1e-12)
 
 
 def cuts(var):

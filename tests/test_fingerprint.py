@@ -18,13 +18,12 @@ import dataclasses
 import hashlib
 import json
 import random
-import re
 
 import pytest
 
 import fuzzylos as fz
 from fuzzylos.engine import grid_value
-from helpers import random_fis
+from helpers import random_fis, token_mutants
 
 GRIDS = ((2, 2), (7, 5), (100, 100), (401, 263))
 
@@ -108,16 +107,6 @@ ACCEPTED_DOCUMENTS = {
     "fis": "d7fa5557a725522b214cd69117e7b4ac63c687feea087dd76905664e2808eaf0",
     "los": "78d7072b64767464ac6fb10ece52cffdb9cfb80c99253f0eddf2332e41ea7acb",
 }
-# What a mutant puts in place of a token, or next to one, besides the file's
-# own tokens: numbers the grammar refuses or reads apart, lone punctuation, a
-# comment, an overflowing number and Arabic-Indic digits.  ASCII and
-# U+0660-U+0669 only, so that repr is the same on every Python.
-SUBSTITUTES = [
-    "1e4", "+5", "1_000", "-", "[", "]", "=", "\u0661\u0660", "\u0663", "1.5", "-0",
-    "inf", "9" * 400, "#", "0.", ".5", "1.2.3", "x", "_", "a/b", "3", "7", "0",
-]
-# the readers' tokens, as the grammar in dsl's docstring defines them
-TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_/]*|-?[0-9]+(?:\.[0-9]+)?|\S")
 
 
 def digest(text: str) -> str:
@@ -193,24 +182,6 @@ def test_generated_rules(default_fis, default_model):
     rules = fz.generate_rules(default_model, flow_var, speed_var)
     text = fz.serialize(dataclasses.replace(default_fis, rules=rules))
     assert digest(text) == GENERATED_RULES
-
-
-def token_mutants(text: str, rng: random.Random, count: int):
-    """``count`` copies of ``text``, each with one token outside the
-    comments dropped, duplicated, preceded by another or replaced."""
-    lines = text.splitlines()
-    spots = [
-        (i, m.start(), m.end())
-        for i, line in enumerate(lines)
-        for m in TOKEN.finditer(line.split("#", 1)[0])
-    ]
-    words = SUBSTITUTES + sorted({lines[i][start:end] for i, start, end in spots})
-    for _ in range(count):
-        i, start, end = rng.choice(spots)
-        token, other = lines[i][start:end], rng.choice(words)
-        new = ["", f"{token} {token}", f"{other} {token}", other][rng.randrange(4)]
-        mutant = lines[:i] + [lines[i][:start] + new + lines[i][end:]] + lines[i + 1:]
-        yield "\n".join(mutant) + "\n"
 
 
 @pytest.mark.parametrize("kind", ["fis", "los"])

@@ -98,16 +98,6 @@ def test_degrees_bounded_and_continuous():
             assert abs(mf.degree(x2) - mf.degree(x1)) <= bound + 1e-12
 
 
-def test_variable_rejects_bad_terms():
-    mf = TrapezoidMF(0, 1, 2, 3)
-    with pytest.raises(FisConfigError):
-        FuzzyVariable("v", "", (0.0, 10.0), (("a", mf), ("a", mf)))
-    with pytest.raises(FisConfigError):
-        FuzzyVariable("v", "", (5.0, 5.0), (("a", mf),))
-    with pytest.raises(FisConfigError):
-        FuzzyVariable("v", "", (0.0, 2.5), (("a", mf),))  # support exceeds domain
-
-
 def test_variable_fuzzify_and_lookup():
     var = FuzzyVariable(
         "Speed",

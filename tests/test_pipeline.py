@@ -40,13 +40,6 @@ class TestIngest:
         assert errors == []
         assert rows == [Measurement("2023-01-05T08:00:00", 62.0, 1200.0)]
 
-    def test_negative_speed_rejected_with_line_number(self):
-        rows, errors = ingest(HEADER + "t0,62.0,1200\nt1,-5,800\n")
-        assert len(rows) == 1
-        assert len(errors) == 1
-        assert "line 3" in errors[0]
-        assert "speed" in errors[0]
-
     def test_empty_file_after_header(self):
         rows, errors = ingest(HEADER)
         assert rows == [] and errors == []
@@ -63,12 +56,6 @@ class TestIngest:
         rows, errors = ingest(HEADER + OVERLONG + ",1,2\nt1,62.0,1200\n")
         assert rows == [Measurement("t1", 62.0, 1200.0)]
         assert len(errors) == 1 and errors[0].startswith("line 2: unparseable CSV (")
-
-    def test_non_numeric_and_non_finite_rejected(self):
-        text = HEADER + "t0,fast,1200\nt1,nan,100\nt2,inf,100\nt3,50,1e400\n"
-        rows, errors = ingest(text)
-        assert rows == []
-        assert len(errors) == 4
 
     def test_wrong_field_count_rejected(self):
         rows, errors = ingest(HEADER + "t0,62.0\n")
@@ -298,26 +285,18 @@ class TestEvaluate:
         assert report.confusion == confusion
         assert report.points == 6
 
-    def test_rule_free_system_raises(self, default_fis, default_model):
-        fis = dataclasses.replace(default_fis, rules=())
-        data = [Measurement("t", 65.0, 700.0)]
-        with pytest.raises(FisConfigError, match="empty rule base"):
-            evaluate(fis, default_model, data)
-
     def test_rule_free_system_raises_before_the_first_point(self, default_fis, default_model):
-        # the only point is out of domain, so no point reaches the kernel
+        # at a speed in the domain, and at one out of it, where no point
+        # reaches the kernel
         fis = dataclasses.replace(default_fis, rules=())
-        data = [Measurement("t", 200.0, 700.0)]
-        with pytest.raises(FisConfigError, match="empty rule base"):
-            evaluate(fis, default_model, data)
-
-    def test_empty_data_rejected(self, default_fis, default_model):
-        with pytest.raises(ValueError):
-            evaluate(default_fis, default_model, [])
+        for speed in (65.0, 200.0):
+            with pytest.raises(FisConfigError, match="empty rule base"):
+                evaluate(fis, default_model, [Measurement("t", speed, 700.0)])
 
     def test_empty_iterator_rejected(self, default_fis, default_model):
-        with pytest.raises(ValueError, match="no data to evaluate"):
-            evaluate(default_fis, default_model, iter([]))
+        for data in ([], iter([])):
+            with pytest.raises(ValueError, match="no data to evaluate"):
+                evaluate(default_fis, default_model, data)
 
     def test_generator_scores_like_the_list(self, default_fis, default_model):
         data = generate_synthetic(default_model, 1500, 5)
@@ -414,26 +393,15 @@ class TestSurface:
         match = [r for r in rows if float(r[0]) == 600.0 and float(r[1]) == 38.0]
         assert match and float(match[0][2]) == 1.0
 
-    def test_cells_equal_infer_bitwise(self, default_fis):
-        # whole lines: the coordinate texts too, and a -0.0 never passes for 0.0
-        (flo, fhi), (slo, shi) = (var.domain for var in default_fis.inputs)
-        expected = ["flow_vph,speed_kmh,raw_los"]
-        for i in range(21):
-            flow = grid_value(flo, fhi, 21, i)
-            for j in range(21):
-                speed = grid_value(slo, shi, 21, j)
-                raw = infer(default_fis, {"TrafficFlow": flow, "Speed": speed}).raw
-                expected.append(f"{flow!r},{speed!r},{raw!r}")
-        assert export_surface(default_fis, 21, 21).splitlines() == expected
-
     @pytest.mark.parametrize("operator", ["min", "product"])
     def test_dense_grids_equal_infer_bitwise(self, default_fis, operator):
         # Dense grids hold long runs of equal (cell, degrees), which share one
-        # kernel call; every cell must still be pointwise inference.
+        # kernel call; every cell must still be pointwise inference.  Whole
+        # lines: the coordinate texts too, and a -0.0 never passes for 0.0.
         systems = [(default_fis, 150, 150)] + [
             (random_fis(random.Random(seed), max_inputs=2, min_inputs=2), flow_steps, speed_steps)
             for seed, flow_steps, speed_steps in [(9, 60, 120), (18, 120, 60), (12, 90, 97)]
-        ]
+        ] + [(default_fis, 21, 21)]
         surfaces = []
         for fis, flow_steps, speed_steps in systems:
             fis = dataclasses.replace(fis, and_operator=operator)

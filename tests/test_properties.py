@@ -55,7 +55,7 @@ import struct
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fuzzylos as fz
@@ -549,6 +549,11 @@ quantity_texts = st.builds("".join, st.tuples(paddings, numerals, paddings))
 
 @PROPERTY_SETTINGS
 @given(speed=quantity_texts, flow=quantity_texts)
+@example(speed="fast", flow="1200")
+@example(speed="nan", flow="100")
+@example(speed="inf", flow="100")
+@example(speed="50", flow="1e400")
+@example(speed="-5", flow="800")
 def test_ingest_accepts_a_quantity_exactly_when_float_reads_it_finite_and_not_negative(
     speed, flow
 ):

@@ -33,23 +33,6 @@ def test_parse_region_file(default_model):
     assert default_model.speed_domain == (0.0, 80.0)
 
 
-def test_region_file_errors():
-    with pytest.raises(RegionError):
-        parse_regions("region 7 flow 0 1 speed 0 1")
-    with pytest.raises(RegionError):
-        parse_regions("region 1 flow 1 0 speed 0 1")
-    with pytest.raises(RegionError):
-        parse_regions("lanes -2")
-    with pytest.raises(RegionError):
-        parse_regions("blargh 1 2 3")
-    with pytest.raises(RegionError):
-        parse_regions("")  # no rectangles
-    with pytest.raises(RegionError):
-        parse_regions(
-            "region 1 flow 0 10 speed 0 10\nregion 2 flow 5 15 speed 5 15\n"
-        )  # overlap
-
-
 @pytest.mark.parametrize("text, message", [
     ("# lanes\nregion 1 flow 0 10 speed 0 10\nlanes 0\n",
      "line 3: lane count must be positive, got 0"),
@@ -62,12 +45,16 @@ def test_region_file_errors():
      "line 2, column 17: expected a flow bound, got 'x'"),
     ("lanes 2\nregion 1 flow 20 10 speed 0 10\n",
      "line 2: degenerate rectangle flow [20.0, 10.0] speed [0.0, 10.0]"),
+    ("region 1 flow 10 10 speed 0 1\n",
+     "line 1: degenerate rectangle flow [10.0, 10.0] speed [0.0, 1.0]"),
+    ("", "a region model needs at least one rectangle"),
     # str.isdigit accepts Arabic-Indic digits; the grammar takes ASCII only
     ("lanes \u0661\u0660\nregion 1 flow 0 10 speed 0 10\n",
      "line 1, column 7: expected the lane count, got '\u0661'"),
     ("region \u0663 flow 0 10 speed 0 10\n",
      "line 1, column 8: expected the level, got '\u0663'"),
-], ids=["lanes", "level", "overlap", "number", "degenerate", "lanes-digits", "level-digits"])
+], ids=["lanes", "level", "overlap", "number", "degenerate", "empty-flow", "no-region",
+        "lanes-digits", "level-digits"])
 def test_region_model_errors_name_their_line(text, message):
     with pytest.raises(RegionError) as raised:
         parse_regions(text)
@@ -89,6 +76,7 @@ def test_region_model_errors_locate_their_argument():
          "level of service must be 1..6, got True"),
         (dict(regions=(ok, (3, Rect(20, 30, 0, 10)), (2, Rect(5, 15, 5, 15)))),
          ("regions", 2), "rectangles for LoS 1 and LoS 2 overlap"),
+        (dict(regions=()), (), "a region model needs at least one rectangle"),
     ]
     for kwargs, location, message in cases:
         with pytest.raises(RegionError) as raised:
@@ -100,6 +88,7 @@ def test_region_model_errors_locate_their_argument():
     ("region 1 flow 0 10 speed 0 10\nlane 3\n",
      "line 2, column 1: expected 'lanes' or 'region', got 'lane'"),
     ("lanes\n", "line 1, column 6: expected the lane count, got end of line"),
+    ("lanes -2\n", "line 1, column 7: expected the lane count, got '-2'"),
     ("region 1.5 flow 0 10 speed 0 10\n", "line 1, column 8: expected the level, got '1.5'"),
     ("region 1 flow 0 1e4 speed 0 10\n", "line 1, column 18: expected 'speed', got 'e4'"),
     ("region 1 flow 0 1_000 speed 0 10\n", "line 1, column 18: expected 'speed', got '_000'"),
@@ -109,8 +98,8 @@ def test_region_model_errors_locate_their_argument():
     ("region 1 flow 0 10 speed 0 10 x\n", "line 1, column 31: unexpected trailing 'x'"),
     ("lanes 3\nlanes 4\nregion 1 flow 0 10 speed 0 10\n",
      "line 2, column 1: duplicate lanes statement"),
-], ids=["unknown", "no-lane-count", "level", "exponent", "underscore", "plus", "inf", "trailing",
-        "duplicate-lanes"])
+], ids=["unknown", "no-lane-count", "negative-lane-count", "level", "exponent", "underscore",
+        "plus", "inf", "trailing", "duplicate-lanes"])
 def test_region_file_syntax_errors_name_line_and_column(text, message):
     with pytest.raises(RegionError) as raised:
         parse_regions(text)
@@ -201,15 +190,6 @@ def test_oracle_determinism_exhaustive_scan(default_model):
             assert len(owners) <= 1
             expected = owners[0] if owners else None
             assert oracle_label(default_model, flow, speed) == expected
-
-
-def test_rect_validation():
-    with pytest.raises(RegionError):
-        Rect(10, 10, 0, 1)
-    with pytest.raises(RegionError):
-        LosRegionModel(regions=((1, Rect(0, 1, 0, 1)),), lanes=0)
-    with pytest.raises(RegionError):
-        LosRegionModel(regions=())
 
 
 def test_classify_rounding_and_boundary(default_fis):
